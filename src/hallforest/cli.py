@@ -61,6 +61,15 @@ def _load_space(path: str):
     raise SystemExit(2)
 
 
+def _build(make, *args):
+    """make(*args); a host the matcher rejects is an input error (exit 2)."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        print(f"space cannot carry the construction: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _random_connected_subset(ent: Entourage, rng: random.Random, size: int, span: int) -> set[int]:
     blob = {rng.randrange(1, span + 1)}
     while len(blob) < size:
@@ -99,7 +108,7 @@ def cmd_match(args) -> int:
     descriptor, ent = _load_space(args.space)
     out = Path(args.out)
     host = double_graph(ent)
-    matcher = HaremMatcher(host, args.d, HallWitness.identity())
+    matcher = _build(HaremMatcher, host, args.d, HallWitness.identity())
     pairs = [(matcher.f(b), b) for b in range(1, args.n + 1)]
     matching = Matching(pairs)
     _write(out / "matching.json", matching.to_json())
@@ -140,7 +149,7 @@ def cmd_match(args) -> int:
 def cmd_forest(args) -> int:
     descriptor, ent = _load_space(args.space)
     out = Path(args.out)
-    forest = ForestFunction(ent, args.d)
+    forest = _build(ForestFunction, ent, args.d)
     rep = verify_forest(forest, args.n)
     _write(out / "forest.json", forest_to_json(forest, args.n))
     if args.format == "dot":
@@ -170,7 +179,7 @@ def cmd_forest(args) -> int:
 def cmd_wobble(args) -> int:
     descriptor, ent = _load_space(args.space)
     out = Path(args.out)
-    forest = ForestFunction(ent, 4)
+    forest = _build(ForestFunction, ent, 4)
     pair = build_wobbling_pair(forest)
     rep = verify_free_semiregular(pair, args.word_len, args.n)
     _write(out / "wobble.json", wobble_to_json(pair, args.n))
@@ -203,7 +212,7 @@ def cmd_wobble(args) -> int:
 def cmd_verify(args) -> int:
     descriptor, ent = _load_space(args.space)
     out = Path(args.out)
-    forest = ForestFunction(ent, args.d)
+    forest = _build(ForestFunction, ent, args.d)
     matcher = forest.matcher
     cc = verify_cycle_control(matcher.f, args.n)
     frep = verify_forest(forest, args.n, preimage_upto=min(args.n, 60))

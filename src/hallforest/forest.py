@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
 from .matcher import DEFAULT_RADIUS_CAP, HaremMatcher
-
-SECTION_CACHE = 200_000
 
 
 class Entourage:
@@ -42,6 +39,10 @@ class Entourage:
 
     def section(self, v: int) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """section(v) without v itself, ascending: the diagonal-free section."""
+        return tuple(w for w in self.section(v) if w != v)
 
 
 class ExplicitEntourage(Entourage):
@@ -98,6 +99,12 @@ class TreeEntourage(Entourage):
         around = (v,) + self.children(v) if p is None else (p, v) + self.children(v)
         return tuple(sorted(around))
 
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        # parent < v < children, so parent-then-children is already ascending
+        if v == 1:
+            return self.children(1)
+        return (self.parent(v),) + self.children(v)
+
 
 def build_tree_entourage(r: int) -> TreeEntourage:
     return TreeEntourage(r)
@@ -120,10 +127,9 @@ def strip_diagonal(entourage: Entourage) -> StrippedRelation:
     return StrippedRelation(entourage)
 
 
-def double_graph(entourage: Entourage, cache: int = SECTION_CACHE) -> SymmetricDoubleGraph:
-    """Bipartite double of the diagonal-free part, with cached sections."""
-    stripped = strip_diagonal(entourage)
-    return SymmetricDoubleGraph(lru_cache(maxsize=cache)(stripped.section))
+def double_graph(entourage: Entourage) -> SymmetricDoubleGraph:
+    """Bipartite double of the diagonal-free part of the entourage."""
+    return SymmetricDoubleGraph(entourage.neighbors)
 
 
 @dataclass(frozen=True)
@@ -186,9 +192,8 @@ class ForestFunction:
         self.entourage = entourage
         self.stripped = strip_diagonal(entourage)
         self.d = d
-        host = SymmetricDoubleGraph(lru_cache(maxsize=SECTION_CACHE)(self.stripped.section))
         self.matcher = HaremMatcher(
-            host, d, h or HallWitness.identity(),
+            double_graph(entourage), d, h or HallWitness.identity(),
             radius_cap=radius_cap, step_limit=step_limit,
         )
         self._periodic: dict[int, bool] = {}

@@ -272,13 +272,18 @@ def solve_relaxed(
     """
     owner: dict[int, int] = {}
     parts: dict[int, list[int]] = {a: [] for a in a_order}
-    nbrs_of_b: dict[int, list[int]] = {}
+    interior = sorted(interior_b)
+    # Only interior b need their A-side lists: phase 1 places interior b and
+    # place() recurses only into b already placed, which are interior too.
+    nbrs_of_b: dict[int, list[int]] = {b: [] for b in interior}
     for a in a_order:
         for b in nbrs_of_a[a]:
-            nbrs_of_b.setdefault(b, []).append(a)
+            nbs = nbrs_of_b.get(b)
+            if nbs is not None:
+                nbs.append(a)
 
     def place(b: int, visited: set[int]) -> bool:
-        nbs = nbrs_of_b.get(b, ())
+        nbs = nbrs_of_b[b]
         for a in nbs:
             if len(parts[a]) < d and a not in visited:
                 visited.add(a)
@@ -320,17 +325,36 @@ def solve_relaxed(
             parts[a2].append(b)
         return False
 
-    for b in sorted(interior_b):
-        seen: set[int] = set()
-        if not place(b, seen):
-            trapped = tuple(sorted({bb for a in seen for bb in parts[a]} | {b}))
-            raise InfeasibleMatchingError(
-                f"interior B-vertex {b} cannot be placed: {len(trapped)} B-vertices "
-                f"compete for {d}*{len(seen)} slots on A-side {sorted(seen)}",
-                "B", b, tuple(sorted(seen)), trapped,
-            )
+    # Each phase first runs the greedy step that place/grab would take with
+    # an empty visited set (first neighbour with room, first unowned
+    # neighbour) and calls them only where that step finds nothing, so the
+    # result is the one the repairs alone would give.
+    for b in interior:
+        for a in nbrs_of_b[b]:
+            mine = parts[a]
+            if len(mine) < d:
+                owner[b] = a
+                mine.append(b)
+                break
+        else:
+            seen: set[int] = set()
+            if not place(b, seen):
+                trapped = tuple(sorted({bb for a in seen for bb in parts[a]} | {b}))
+                raise InfeasibleMatchingError(
+                    f"interior B-vertex {b} cannot be placed: {len(trapped)} B-vertices "
+                    f"compete for {d}*{len(seen)} slots on A-side {sorted(seen)}",
+                    "B", b, tuple(sorted(seen)), trapped,
+                )
     for a in a_order:
-        while len(parts[a]) < d:
+        mine = parts[a]
+        if len(mine) < d:
+            for b in nbrs_of_a[a]:
+                if b not in owner:
+                    owner[b] = a
+                    mine.append(b)
+                    if len(mine) == d:
+                        break
+        while len(mine) < d:
             seen = set()
             if not grab(a, seen):
                 blocked = tuple(sorted({owner[b] for b in seen if b in owner} | {a}))

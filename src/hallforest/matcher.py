@@ -193,31 +193,34 @@ class HaremMatcher:
     def _live_a(self, a: int) -> bool:
         return not self.a_removed(a) and a not in self._fans
 
-    def _ball_parts(self, center: int) -> tuple[dict[int, list[int]], dict[int, int]]:
+    def _ball_parts(self, center: int) -> dict[int, list[int]]:
         """Relaxed (1, d)-matching on the ball around a live, unreserved center.
 
         The ball lives in the current remaining host minus all fan roots and
-        fan leaves. Returns (partners per ball A-vertex, owner of each
-        interior B-vertex).
+        fan leaves. Returns the sorted partners of each ball A-vertex.
         """
         radius = self.effective_radius(self.step)
         if radius == 3:
+            # Hot path: liveness is read straight from the state arrays
+            # (_live_b / _live_a inlined); nothing here mutates them.
             section = self.graph.neighbors_a
-            interior = [b for b in section(center) if self.owner_of(b) == 0 and b not in self._leaf_root]
+            owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
+            n_owner, n_parts, d1 = len(owner), len(parts), self.d - 1
+            interior = [b for b in section(center)
+                        if (b >= n_owner or not owner[b]) and b not in leaf_root]
             a_seen = {center}
             for b in interior:
                 for a in section(b):
-                    if a not in a_seen and self._live_a(a):
+                    if a not in a_seen and (a * d1 >= n_parts or not parts[a * d1]) \
+                            and a not in fans:
                         a_seen.add(a)
             a_order = sorted(a_seen)
-            nbrs: dict[int, list[int]] = {}
-            for a in a_order:
-                nbrs[a] = [b for b in section(a) if self.owner_of(b) == 0 and b not in self._leaf_root]
+            nbrs = {a: [b for b in section(a)
+                        if (b >= n_owner or not owner[b]) and b not in leaf_root]
+                    for a in a_order}
         else:
             a_order, nbrs, interior = self._ball_layers(center, radius)
-        parts = solve_relaxed(a_order, nbrs, interior, self.d)
-        owner = {b: a for a, bs in parts.items() for b in bs}
-        return parts, owner
+        return solve_relaxed(a_order, nbrs, interior, self.d)
 
     def _ball_layers(self, center: int, radius: int):
         # Generic odd-radius ball in the starred remaining host. Interior
@@ -262,8 +265,7 @@ class HaremMatcher:
             self._commit(an, leaves)
             least = leaves[0]
         else:
-            parts, _ = self._ball_parts(an)
-            mine = parts[an]  # sorted, length d
+            mine = self._ball_parts(an)[an]  # sorted, length d
             self._commit(an, tuple(mine[:d1]))
             least = mine[0]
         if self.owner_of(an) == 0:
@@ -302,7 +304,8 @@ class HaremMatcher:
                     del self._leaf_root[b]
                 self._commit(center, tuple(sorted((target,) + leaves[:d - 2])))
                 return
-            parts, owner = self._ball_parts(center)
+            parts = self._ball_parts(center)
+            owner = {b: a for a, bs in parts.items() for b in bs}
             holder = owner[target]  # target sits one edge from the center
             mine = parts[center]
             if holder == center:

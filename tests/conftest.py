@@ -2,7 +2,9 @@
 
 The oracle builds breadth-first adjacency for a regular tree with a plain
 queue, so the arithmetic vertex numbering in the package can be checked
-against code that cannot share its bugs.
+against code that cannot share its bugs. The t6k3 host is the product of
+the degree-6 tree with a triangle: unlike every tree host, it makes the
+matcher reserve and consume fans.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import deque
 
 import pytest
 
-from hallforest import TreeEntourage
+from hallforest import SymmetricDoubleGraph, TreeEntourage, double_graph
 
 
 def bfs_tree_adjacency(r: int, max_vertex: int) -> dict[int, list[int]]:
@@ -46,3 +48,32 @@ def tree6() -> TreeEntourage:
 @pytest.fixture(scope="session")
 def tree7() -> TreeEntourage:
     return TreeEntourage(7)
+
+
+@pytest.fixture(scope="session")
+def t6k3() -> SymmetricDoubleGraph:
+    """Bipartite host of T6 x K3, degree 8.
+
+    The vertex (t, i), with t a tree6 vertex and i in 0..2, is the number
+    3(t-1) + i + 1; it is related to (s, i) for every tree neighbor s of t
+    and to (t, j) for j != i.
+    """
+    tree = TreeEntourage(6)
+
+    def section(v: int) -> tuple[int, ...]:
+        t, i = divmod(v - 1, 3)
+        layer = [3 * (s - 1) + i + 1 for s in tree.neighbors(t + 1)]
+        fiber = [3 * t + j + 1 for j in range(3) if j != i]
+        return tuple(sorted(layer + fiber))
+
+    return SymmetricDoubleGraph(section)
+
+
+@pytest.fixture()
+def host_of(request):
+    """Look a host fixture up by name; entourages come back doubled."""
+    def lookup(space: str) -> SymmetricDoubleGraph:
+        host = request.getfixturevalue(space)
+        return host if isinstance(host, SymmetricDoubleGraph) else double_graph(host)
+
+    return lookup

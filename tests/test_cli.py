@@ -133,3 +133,22 @@ def test_rejects_degree_below_three(tree6_space, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("match", "--space", tree6_space, "--d", 2, "--out", tmp_path)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["match", "--d", 4],
+    ["forest", "--d", 4],
+    ["wobble"],
+    ["verify", "--d", 4],
+])
+def test_host_below_the_degree_exits_two(tmp_path, capsys, command):
+    # tree3 has degree 3, short of the d + 1 = 5 the matcher needs
+    assert run("gen-tree", "--r", 3, "--out", tmp_path) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command[0], "--space", tmp_path / "descriptor.json", *command[1:],
+            "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "has degree 3 < 5" in err
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -262,3 +263,40 @@ def test_two_runs_are_byte_identical(tree6):
     a.advance_to_step(60)
     b.advance_to_step(60)
     assert a.checkpoint_json() == b.checkpoint_json()
+
+
+# -- output identity ----------------------------------------------------------------
+
+# sha256 of checkpoint_json() for a cold d=4 matcher; a change to the stepping
+# path that moves these changes the construction's output
+PINNED_CHECKPOINTS = [
+    ("tree6", 1000, "af9b9cc3e7d6f355ad836709cd57853b1928c25e0f7cf5fb01f370632dbaa749"),
+    ("t6k3", 2000, "d94545258a786239d4fa6f99d983111b246e56bb6c7ff34b6fdd56a21d10d309"),
+]
+
+
+@pytest.mark.parametrize("space, steps, digest", PINNED_CHECKPOINTS,
+                         ids=[f"{space}@{steps}" for space, steps, _ in PINNED_CHECKPOINTS])
+def test_checkpoint_bytes_are_pinned(host_of, space, steps, digest):
+    m = HaremMatcher(host_of(space), 4, HallWitness.identity())
+    m.advance_to_step(steps)
+    assert hashlib.sha256(m.checkpoint_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("space", ["tree7", "t6k3"])
+def test_check_mode_runs_the_same_construction(host_of, space):
+    host = host_of(space)
+    plain = HaremMatcher(host, 4, HallWitness.identity())
+    plain.advance_to_step(2000)
+    checked = HaremMatcher(host, 4, HallWitness.identity(), check=True)
+    created, consumed = set(), set()
+    while checked.step < 2000:
+        before = checked.fans()
+        checked.advance_to_step(checked.step + 1)
+        after = checked.fans()
+        created |= after.keys() - before.keys()
+        consumed |= before.keys() - after.keys()
+    assert checked.checkpoint_json() == plain.checkpoint_json()
+    if space == "t6k3":
+        # _close_cycle reserved fans and run_step consumed them, under the asserts
+        assert created and consumed
