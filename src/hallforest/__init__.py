@@ -11,11 +11,9 @@ from .graph import (
     BipartiteGraph,
     ExplicitBipartiteGraph,
     FiniteInducedSubgraph,
-    OracleInconsistencyError,
     SymmetricDoubleGraph,
     ball,
     is_A_reflected,
-    step_radius,
 )
 from .hall import (
     HallWitness,
@@ -29,10 +27,7 @@ from .hall import (
 )
 from .matcher import (
     HaremMatcher,
-    MatchFunction,
     MatcherBudgetError,
-    cumulative_shift,
-    shift_witness,
     verify_cycle_control,
 )
 from .forest import (
@@ -40,20 +35,15 @@ from .forest import (
     ExplicitEntourage,
     ForestFunction,
     TreeEntourage,
-    build_tree_entourage,
     check_expansion,
     double_graph,
     forest_to_dot,
     forest_to_json,
-    strip_diagonal,
     verify_forest,
 )
 from .wobbling import (
     EdgeLabeling,
     WobblingPair,
-    build_labeling,
-    build_wobbling_pair,
-    ordered_forest_neighbors,
     reduced_words,
     verify_free_semiregular,
     wobble_to_dot,
@@ -74,34 +64,25 @@ __all__ = [
     "HaremCheck",
     "HaremMatcher",
     "InfeasibleMatchingError",
-    "MatchFunction",
     "MatcherBudgetError",
     "Matching",
-    "OracleInconsistencyError",
     "SymmetricDoubleGraph",
     "TreeEntourage",
     "WobblingPair",
     "ball",
     "boundary_relaxed_matching",
     "brute_force_matching",
-    "build_labeling",
-    "build_tree_entourage",
-    "build_wobbling_pair",
     "check_expansion",
     "check_harem_condition",
-    "cumulative_shift",
     "double_graph",
     "forest_to_dot",
     "forest_to_json",
     "is_A_reflected",
-    "ordered_forest_neighbors",
     "reduced_words",
-    "shift_witness",
     "solve_relaxed",
-    "step_radius",
-    "strip_diagonal",
     "verify_cycle_control",
     "verify_forest",
+    "verify_free_semiregular",
     "wobble_to_dot",
     "wobble_to_json",
     "__version__",

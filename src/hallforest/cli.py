@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .forest import (
     Entourage,
@@ -29,7 +30,13 @@ from .forest import (
 from .graph import is_A_reflected
 from .hall import HallWitness, Matching
 from .matcher import HaremMatcher, verify_cycle_control
-from .wobbling import build_wobbling_pair, verify_free_semiregular, wobble_to_dot, wobble_to_json
+from .wobbling import (
+    EdgeLabeling,
+    WobblingPair,
+    verify_free_semiregular,
+    wobble_to_dot,
+    wobble_to_json,
+)
 
 
 def _write(path: Path, text: str) -> None:
@@ -41,24 +48,35 @@ def _write_json(path: Path, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _write_artifact(out: Path, name: str, fmt: str, to_json, to_dot, *args) -> None:
+    """name.json, and name.dot next to it under --format dot."""
+    _write(out / f"{name}.json", to_json(*args))
+    if fmt == "dot":
+        _write(out / f"{name}.dot", to_dot(*args))
+
+
+def _fail(message: str) -> NoReturn:
+    """An input error: one line on stderr, exit 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_space(path: str):
     try:
         descriptor = json.loads(Path(path).read_text())
     except OSError as exc:
-        print(f"cannot read space descriptor: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"cannot read space descriptor: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"space descriptor is not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"space descriptor is not valid JSON: {exc}")
+    if not isinstance(descriptor, dict):
+        _fail(f"space descriptor must be a JSON object, got {json.dumps(descriptor)}")
     kind = descriptor.get("kind")
     if kind == "regular_tree":
         r = descriptor.get("r")
         if not isinstance(r, int) or r < 3:
-            print(f"regular_tree needs an integer r >= 3, got {r!r}", file=sys.stderr)
-            raise SystemExit(2)
+            _fail(f"regular_tree needs an integer r >= 3, got {r!r}")
         return descriptor, TreeEntourage(r)
-    print(f"unknown space kind: {kind!r}", file=sys.stderr)
-    raise SystemExit(2)
+    _fail(f"unknown space kind: {kind!r}")
 
 
 def _build(make, *args):
@@ -66,8 +84,7 @@ def _build(make, *args):
     try:
         return make(*args)
     except ValueError as exc:
-        print(f"space cannot carry the construction: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"space cannot carry the construction: {exc}")
 
 
 def _random_connected_subset(ent: Entourage, rng: random.Random, size: int, span: int) -> set[int]:
@@ -78,6 +95,9 @@ def _random_connected_subset(ent: Entourage, rng: random.Random, size: int, span
             break
         blob.add(options[rng.randrange(len(options))])
     return blob
+
+
+# -- report blocks: one per check, shared by every command that runs it -------
 
 
 def _expansion_samples(ent: Entourage, factor: int, seed: int, per_size: int = 12) -> dict:
@@ -98,176 +118,103 @@ def _expansion_samples(ent: Entourage, factor: int, seed: int, per_size: int = 1
     return {"factor": factor, "samples": samples, "ok": not failures, "failures": failures}
 
 
+def _cycle_control_block(matcher: HaremMatcher, n: int) -> dict:
+    cc = verify_cycle_control(matcher.f, n)
+    return {"ok": cc.ok, "upto": cc.upto, "periodic": len(cc.periodic),
+            "transient": len(cc.transient), "violations": cc.violations}
+
+
+def _forest_block(forest: ForestFunction, n: int) -> dict:
+    rep = verify_forest(forest, n)
+    return {"ok": rep.ok, "upto": rep.upto, "preimage_upto": rep.preimage_upto,
+            "violations": rep.violations}
+
+
+def _wobbling_block(pair: WobblingPair, word_len: int, upto: int) -> dict:
+    rep = verify_free_semiregular(pair, word_len, upto)
+    return {"ok": rep.ok, "upto": rep.upto, "word_len": rep.word_len,
+            "words_checked": rep.words_checked, "points_checked": rep.points_checked,
+            "violations": rep.violations}
+
+
+def _reflected_block(matcher: HaremMatcher, n: int) -> dict:
+    upto = min(n, 40)
+    ok = is_A_reflected(matcher.graph, upto, matcher.removed_a_set(), matcher.removed_b_set())
+    return {"ok": ok, "range": upto}
+
+
+def _report(out: Path, descriptor: dict, fields: dict, checks: dict) -> int:
+    """Write report.json; the run is ok, and exits 0, when every check is."""
+    ok = all(block["ok"] for block in checks.values())
+    _write_json(out / "report.json", {**fields, "ok": ok, "space": descriptor, "checks": checks})
+    return 0 if ok else 1
+
+
+# -- commands ------------------------------------------------------------------
+
+
 def cmd_gen_tree(args) -> int:
     out = Path(args.out)
     _write_json(out / "descriptor.json", {"kind": "regular_tree", "r": args.r})
     return 0
 
 
-def cmd_match(args) -> int:
-    descriptor, ent = _load_space(args.space)
+def cmd_match(args, descriptor: dict, ent: Entourage) -> int:
     out = Path(args.out)
-    host = double_graph(ent)
-    matcher = _build(HaremMatcher, host, args.d, HallWitness.identity())
-    pairs = [(matcher.f(b), b) for b in range(1, args.n + 1)]
-    matching = Matching(pairs)
-    _write(out / "matching.json", matching.to_json())
+    matcher = _build(HaremMatcher, double_graph(ent), args.d, HallWitness.identity())
+    matching = Matching((matcher.f(b), b) for b in range(1, args.n + 1))
+    _write_artifact(out, "matching", args.format, matching.to_json, matching.to_dot)
     _write(out / "checkpoint.json", matcher.checkpoint_json())
-    if args.format == "dot":
-        _write(out / "matching.dot", matching.to_dot())
-    cc = verify_cycle_control(matcher.f, args.n)
-    reflected_range = min(args.n, 40)
-    reflected = is_A_reflected(
-        host, reflected_range, matcher.removed_a_set(), matcher.removed_b_set())
-    # the matching itself only needs one spare neighbor per point beyond
-    # degree, hence the d+1 expansion level here
-    expansion = _expansion_samples(ent, args.d + 1, args.seed)
-    ok = cc.ok and reflected and expansion["ok"]
-    report = {
-        "command": "match",
-        "d": args.d,
-        "n": args.n,
-        "ok": ok,
-        "space": descriptor,
-        "steps": matcher.step,
-        "checks": {
-            "cycle_control": {
-                "ok": cc.ok,
-                "upto": cc.upto,
-                "periodic": len(cc.periodic),
-                "transient": len(cc.transient),
-                "violations": cc.violations,
-            },
-            "reflected": {"ok": reflected, "range": reflected_range},
-            "expansion": expansion,
-        },
-    }
-    _write_json(out / "report.json", report)
-    return 0 if ok else 1
-
-
-def cmd_forest(args) -> int:
-    descriptor, ent = _load_space(args.space)
-    out = Path(args.out)
-    forest = _build(ForestFunction, ent, args.d)
-    rep = verify_forest(forest, args.n)
-    _write(out / "forest.json", forest_to_json(forest, args.n))
-    if args.format == "dot":
-        _write(out / "forest.dot", forest_to_dot(forest, args.n))
-    expansion = _expansion_samples(ent, args.d + 2, args.seed)
-    ok = rep.ok and expansion["ok"]
-    report = {
-        "command": "forest",
-        "d": args.d,
-        "n": args.n,
-        "ok": ok,
-        "space": descriptor,
-        "checks": {
-            "forest": {
-                "ok": rep.ok,
-                "upto": rep.upto,
-                "preimage_upto": rep.preimage_upto,
-                "violations": rep.violations,
-            },
-            "expansion": expansion,
-        },
-    }
-    _write_json(out / "report.json", report)
-    return 0 if ok else 1
-
-
-def cmd_wobble(args) -> int:
-    descriptor, ent = _load_space(args.space)
-    out = Path(args.out)
-    forest = _build(ForestFunction, ent, 4)
-    pair = build_wobbling_pair(forest)
-    rep = verify_free_semiregular(pair, args.word_len, args.n)
-    _write(out / "wobble.json", wobble_to_json(pair, args.n))
-    if args.format == "dot":
-        _write(out / "wobble.dot", wobble_to_dot(pair, args.n))
-    expansion = _expansion_samples(ent, 6, args.seed)
-    ok = rep.ok and expansion["ok"]
-    report = {
-        "command": "wobble",
-        "n": args.n,
-        "ok": ok,
-        "space": descriptor,
-        "word_len": args.word_len,
-        "checks": {
-            "wobbling": {
-                "ok": rep.ok,
-                "upto": rep.upto,
-                "word_len": rep.word_len,
-                "words_checked": rep.words_checked,
-                "points_checked": rep.points_checked,
-                "violations": rep.violations,
-            },
-            "expansion": expansion,
-        },
-    }
-    _write_json(out / "report.json", report)
-    return 0 if ok else 1
-
-
-def cmd_verify(args) -> int:
-    descriptor, ent = _load_space(args.space)
-    out = Path(args.out)
-    forest = _build(ForestFunction, ent, args.d)
-    matcher = forest.matcher
-    cc = verify_cycle_control(matcher.f, args.n)
-    frep = verify_forest(forest, args.n, preimage_upto=min(args.n, 60))
     checks = {
-        "cycle_control": {
-            "ok": cc.ok,
-            "upto": cc.upto,
-            "periodic": len(cc.periodic),
-            "transient": len(cc.transient),
-            "violations": cc.violations,
-        },
-        "forest": {
-            "ok": frep.ok,
-            "upto": frep.upto,
-            "preimage_upto": frep.preimage_upto,
-            "violations": frep.violations,
-        },
+        "cycle_control": _cycle_control_block(matcher, args.n),
+        "reflected": _reflected_block(matcher, args.n),
+        # the matching itself only needs one spare neighbor per point beyond
+        # degree, hence the d+1 expansion level here
+        "expansion": _expansion_samples(ent, args.d + 1, args.seed),
+    }
+    fields = {"command": "match", "d": args.d, "n": args.n, "steps": matcher.step}
+    return _report(out, descriptor, fields, checks)
+
+
+def cmd_forest(args, descriptor: dict, ent: Entourage) -> int:
+    out = Path(args.out)
+    forest = _build(ForestFunction, ent, args.d)
+    checks = {"forest": _forest_block(forest, args.n),
+              "expansion": _expansion_samples(ent, args.d + 2, args.seed)}
+    _write_artifact(out, "forest", args.format, forest_to_json, forest_to_dot, forest, args.n)
+    return _report(out, descriptor, {"command": "forest", "d": args.d, "n": args.n}, checks)
+
+
+def cmd_wobble(args, descriptor: dict, ent: Entourage) -> int:
+    out = Path(args.out)
+    pair = WobblingPair(EdgeLabeling(_build(ForestFunction, ent, 4)))
+    checks = {"wobbling": _wobbling_block(pair, args.word_len, args.n),
+              "expansion": _expansion_samples(ent, 6, args.seed)}
+    _write_artifact(out, "wobble", args.format, wobble_to_json, wobble_to_dot, pair, args.n)
+    fields = {"command": "wobble", "n": args.n, "word_len": args.word_len}
+    return _report(out, descriptor, fields, checks)
+
+
+def cmd_verify(args, descriptor: dict, ent: Entourage) -> int:
+    out = Path(args.out)
+    forest = _build(ForestFunction, ent, args.d)
+    checks = {
+        "cycle_control": _cycle_control_block(forest.matcher, args.n),
+        "forest": _forest_block(forest, args.n),
         "expansion_match": _expansion_samples(ent, args.d + 1, args.seed),
         "expansion_forest": _expansion_samples(ent, args.d + 2, args.seed + 1),
     }
-    ok = cc.ok and frep.ok and checks["expansion_match"]["ok"] and checks["expansion_forest"]["ok"]
     if args.d == 4:
-        wob_upto = min(args.n, 24)
-        pair = build_wobbling_pair(forest)
-        wrep = verify_free_semiregular(pair, args.word_len, wob_upto)
-        checks["wobbling"] = {
-            "ok": wrep.ok,
-            "upto": wrep.upto,
-            "word_len": wrep.word_len,
-            "words_checked": wrep.words_checked,
-            "points_checked": wrep.points_checked,
-            "violations": wrep.violations,
-        }
-        ok = ok and wrep.ok
+        pair = WobblingPair(EdgeLabeling(forest))
+        checks["wobbling"] = _wobbling_block(pair, args.word_len, min(args.n, 24))
     else:
         checks["wobbling"] = {"ok": True, "skipped": f"needs d=4, ran with d={args.d}"}
-    reflected_range = min(args.n, 40)
-    reflected = is_A_reflected(
-        forest.matcher.graph, reflected_range,
-        matcher.removed_a_set(), matcher.removed_b_set())
-    checks["reflected"] = {"ok": reflected, "range": reflected_range}
-    ok = ok and reflected
-    report = {
-        "command": "verify",
-        "d": args.d,
-        "n": args.n,
-        "ok": ok,
-        "seed": args.seed,
-        "space": descriptor,
-        "word_len": args.word_len,
-        "checks": checks,
-    }
-    _write_json(out / "report.json", report)
-    _write(out / "checkpoint.json", matcher.checkpoint_json())
-    return 0 if ok else 1
+    checks["reflected"] = _reflected_block(forest.matcher, args.n)
+    fields = {"command": "verify", "d": args.d, "n": args.n, "seed": args.seed,
+              "word_len": args.word_len}
+    code = _report(out, descriptor, fields, checks)
+    _write(out / "checkpoint.json", forest.matcher.checkpoint_json())
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +280,12 @@ def main(argv=None) -> int:
         parser.error("--d must be at least 3")
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be positive")
-    return args.fn(args)
+    if getattr(args, "word_len", None) is not None and args.word_len < 1:
+        parser.error("--word-len must be positive")
+    if args.command == "gen-tree":
+        return args.fn(args)
+    # every command past gen-tree reads a space; it is loaded once, here
+    return args.fn(args, *_load_space(args.space))
 
 
 if __name__ == "__main__":

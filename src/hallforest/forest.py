@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
-from .matcher import DEFAULT_RADIUS_CAP, HaremMatcher
+from .matcher import HaremMatcher
 
 
 class Entourage:
@@ -37,6 +37,10 @@ class Entourage:
     def member(self, x: int, y: int) -> bool:
         return y in self.section(x)
 
+    def related(self, x: int, y: int) -> bool:
+        """Membership in the diagonal-free part: x and y are distinct and related."""
+        return x != y and self.member(x, y)
+
     def section(self, v: int) -> tuple[int, ...]:
         raise NotImplementedError
 
@@ -46,14 +50,13 @@ class Entourage:
 
 
 class ExplicitEntourage(Entourage):
-    def __init__(self, pairs: Iterable[tuple[int, int]], add_diagonal: bool = True):
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
         sections: dict[int, set[int]] = {}
         for x, y in pairs:
             sections.setdefault(x, set()).add(y)
             sections.setdefault(y, set()).add(x)
-        if add_diagonal:
-            for v in sections:
-                sections[v].add(v)
+        for v in sections:
+            sections[v].add(v)
         self._sections = {v: tuple(sorted(s)) for v, s in sections.items()}
 
     def member(self, x: int, y: int) -> bool:
@@ -104,27 +107,6 @@ class TreeEntourage(Entourage):
         if v == 1:
             return self.children(1)
         return (self.parent(v),) + self.children(v)
-
-
-def build_tree_entourage(r: int) -> TreeEntourage:
-    return TreeEntourage(r)
-
-
-class StrippedRelation:
-    """The entourage minus its diagonal; sections no longer contain v."""
-
-    def __init__(self, entourage: Entourage):
-        self.entourage = entourage
-
-    def member(self, x: int, y: int) -> bool:
-        return x != y and self.entourage.member(x, y)
-
-    def section(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w in self.entourage.section(v) if w != v)
-
-
-def strip_diagonal(entourage: Entourage) -> StrippedRelation:
-    return StrippedRelation(entourage)
 
 
 def double_graph(entourage: Entourage) -> SymmetricDoubleGraph:
@@ -186,16 +168,12 @@ class ForestFunction:
         entourage: Entourage,
         d: int,
         h: HallWitness | None = None,
-        radius_cap: int = DEFAULT_RADIUS_CAP,
         step_limit: int | None = None,
     ):
         self.entourage = entourage
-        self.stripped = strip_diagonal(entourage)
         self.d = d
         self.matcher = HaremMatcher(
-            double_graph(entourage), d, h or HallWitness.identity(),
-            radius_cap=radius_cap, step_limit=step_limit,
-        )
+            double_graph(entourage), d, h or HallWitness.identity(), step_limit=step_limit)
         self._periodic: dict[int, bool] = {}
         self._ltp: dict[int, int] = {}
         self._class: dict[int, Classification] = {}
@@ -236,22 +214,25 @@ class ForestFunction:
         self._ltp[n] = result
         return result
 
-    def find_root(self, n: int) -> RootInfo:
-        """Walk n's f-orbit to its cycle; the root is the cycle minimum.
-
-        Cycle control caps the walk: entry within 2n steps, period at most
-        max(2, n). Violations raise rather than looping.
-        """
+    def _orbit(self, n: int) -> tuple[list[int], int]:
+        """n's f-orbit up to its first repeat, and the index where the cycle starts."""
         orbit = [n]
         index = {n: 0}
         x = n
         while True:
             x = self.f(x)
             if x in index:
-                first = index[x]
-                break
+                return orbit, index[x]
             index[x] = len(orbit)
             orbit.append(x)
+
+    def find_root(self, n: int) -> RootInfo:
+        """Walk n's f-orbit to its cycle; the root is the cycle minimum.
+
+        Cycle control caps the walk: entry within 2n steps, period at most
+        max(2, n). Violations raise rather than looping.
+        """
+        orbit, first = self._orbit(n)
         cycle = orbit[first:]
         root = min(cycle)
         period = len(cycle)
@@ -267,16 +248,7 @@ class ForestFunction:
         hit = self._class.get(u)
         if hit is not None:
             return hit
-        orbit = [u]
-        index = {u: 0}
-        x = u
-        while True:
-            x = self.f(x)
-            if x in index:
-                first = index[x]
-                break
-            index[x] = len(orbit)
-            orbit.append(x)
+        orbit, first = self._orbit(u)
         cycle = orbit[first:]
         root = min(cycle)
         image = cycle[(cycle.index(root) + 1) % len(cycle)]
@@ -306,40 +278,33 @@ class ForestFunction:
 
     # -- the forest step -----------------------------------------------------
 
-    def f_star(self, x: int) -> int:
-        hit = self._star.get(x)
-        if hit is not None:
-            return hit
-        info = self.classify(x)
-        up = self.least_transient_preimage
-        if info.climbs:
-            result = up(up(x))
-        elif info.kind == "root_ray" and info.height >= 3:
-            result = self.f(self.f(x))
-        elif info.kind == "image_ray" and info.height >= 2:
-            result = self.f(self.f(x))
-        else:
-            result = self.f(x)
-        self._star[x] = result
-        return result
+    def _descent(self, x: int, info: Classification) -> tuple[int, ...]:
+        """The route by f: two hops from a ray point at height >= 2, else one."""
+        mid = self.f(x)
+        if info.kind in ("root_ray", "image_ray") and info.height >= 2:
+            return (x, mid, self.f(mid))
+        return (x, mid)
 
     def f_star_path(self, x: int) -> tuple[int, ...]:
         """The one- or two-hop route realizing the forest step from x.
 
-        Consecutive entries are always related by the diagonal-free part of
-        the entourage, so a length-3 path certifies membership in the
-        entourage composed with itself.
+        A climbing point goes two places up its root ray; every other point
+        descends by f. Consecutive entries are always related by the
+        diagonal-free part of the entourage, so a length-3 path certifies
+        membership in the entourage composed with itself.
         """
         info = self.classify(x)
-        up = self.least_transient_preimage
         if info.climbs:
+            up = self.least_transient_preimage
             mid = up(x)
             return (x, mid, up(mid))
-        if (info.kind == "root_ray" and info.height >= 3) or (
-                info.kind == "image_ray" and info.height >= 2):
-            mid = self.f(x)
-            return (x, mid, self.f(mid))
-        return (x, self.f(x))
+        return self._descent(x, info)
+
+    def f_star(self, x: int) -> int:
+        hit = self._star.get(x)
+        if hit is None:
+            hit = self._star[x] = self.f_star_path(x)[-1]
+        return hit
 
     def f_star_preimages(self, x: int) -> tuple[int, ...]:
         """All u with f*(u) = x; exactly d - 1 of them.
@@ -373,11 +338,7 @@ class ForestFunction:
         info = self.classify(u)
         if info.kind == "root":
             return None
-        if info.kind in ("cycle", "image", "plain"):
-            return self.f(u)
-        if info.height == 1:
-            return self.f(u)
-        return self.f(self.f(u))
+        return self._descent(u, info)[-1]
 
     def path_to_root(self, u: int) -> list[int]:
         path = [u]
@@ -429,7 +390,7 @@ def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None =
     """
     pre_upto = preimage_upto if preimage_upto is not None else min(upto, 60)
     report = ForestReport(upto=upto, d=forest.d, preimage_upto=pre_upto)
-    related = forest.stripped.member
+    related = forest.entourage.related
     for n in range(1, upto + 1):
         if forest.f_star(n) == n:
             report.violations.append(f"forest step fixes {n}")

@@ -18,31 +18,19 @@ Usage:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
-
-DEFAULT_SCAN_CAP = 1_000_000
-
-
-class OracleInconsistencyError(RuntimeError):
-    """The adjacency and degree answers of an oracle cannot both be true."""
 
 
 class BipartiteGraph:
     """Base class for bipartite graph oracles.
 
-    Subclasses must implement adjacent, degree_a and degree_b. The default
-    neighbor enumeration scans candidates 1, 2, ... and stops once it has
-    collected degree-many hits; scan_cap bounds the scan so a lying oracle
-    fails loudly instead of hanging. Subclasses with direct section access
-    should override neighbors_a / neighbors_b.
+    Subclasses implement all five oracle methods: adjacency, the degree of
+    each side, and the ascending neighbor section of each side.
 
     Oracles must be pure: same question, same answer, forever. All
     operations here are read-only and safe to share.
     """
-
-    scan_cap: int = DEFAULT_SCAN_CAP
 
     def adjacent(self, a: int, b: int) -> bool:
         """True iff the A-side vertex a and the B-side vertex b share an edge."""
@@ -56,28 +44,11 @@ class BipartiteGraph:
 
     def neighbors_a(self, a: int) -> tuple[int, ...]:
         """B-side neighbors of the A-side vertex a, ascending."""
-        want = self.degree_a(a)
-        return _scan(want, lambda b: self.adjacent(a, b), self.scan_cap, "A", a)
+        raise NotImplementedError
 
     def neighbors_b(self, b: int) -> tuple[int, ...]:
         """A-side neighbors of the B-side vertex b, ascending."""
-        want = self.degree_b(b)
-        return _scan(want, lambda a: self.adjacent(a, b), self.scan_cap, "B", b)
-
-
-def _scan(want: int, hit: Callable[[int], bool], cap: int, side: str, v: int) -> tuple[int, ...]:
-    if want == 0:
-        return ()
-    out: list[int] = []
-    for cand in range(1, cap + 1):
-        if hit(cand):
-            out.append(cand)
-            if len(out) == want:
-                return tuple(out)
-    raise OracleInconsistencyError(
-        f"vertex {v} on side {side} claims degree {want} but only "
-        f"{len(out)} neighbors were found within scan cap {cap}"
-    )
+        raise NotImplementedError
 
 
 class ExplicitBipartiteGraph(BipartiteGraph):
@@ -87,16 +58,13 @@ class ExplicitBipartiteGraph(BipartiteGraph):
     in tests and for the brute-force corpus.
     """
 
-    def __init__(self, a_adj: dict[int, Iterable[int]], b_adj: dict[int, Iterable[int]] | None = None):
+    def __init__(self, a_adj: dict[int, Iterable[int]]):
         self._a_adj = {a: tuple(sorted(set(bs))) for a, bs in a_adj.items()}
-        if b_adj is None:
-            rev: dict[int, list[int]] = {}
-            for a, bs in self._a_adj.items():
-                for b in bs:
-                    rev.setdefault(b, []).append(a)
-            self._b_adj = {b: tuple(sorted(avs)) for b, avs in rev.items()}
-        else:
-            self._b_adj = {b: tuple(sorted(set(avs))) for b, avs in b_adj.items()}
+        rev: dict[int, list[int]] = {}
+        for a, bs in self._a_adj.items():
+            for b in bs:
+                rev.setdefault(b, []).append(a)
+        self._b_adj = {b: tuple(sorted(avs)) for b, avs in rev.items()}
         self._a_sets = {a: frozenset(bs) for a, bs in self._a_adj.items()}
 
     @classmethod
@@ -195,33 +163,6 @@ class FiniteInducedSubgraph:
         bd = set(self.boundary)
         return tuple(b for b in self.b_vertices if b not in bd)
 
-    def to_json(self) -> str:
-        obj = {
-            "a": list(self.a_vertices),
-            "b": list(self.b_vertices),
-            "edges": [[a, b] for a, b in self.edges],
-            "boundary": list(self.boundary),
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteInducedSubgraph":
-        obj = json.loads(text)
-        return cls.build(obj["a"], obj["b"], [tuple(e) for e in obj["edges"]], obj["boundary"])
-
-    def to_dot(self) -> str:
-        lines = ["graph subgraph {"]
-        for a in self.a_vertices:
-            lines.append(f'  "a{a}" [shape=circle];')
-        bd = set(self.boundary)
-        for b in self.b_vertices:
-            style = ", style=dashed" if b in bd else ""
-            lines.append(f'  "b{b}" [shape=box{style}];')
-        for a, b in self.edges:
-            lines.append(f'  "a{a}" -- "b{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def ball(graph: BipartiteGraph, center: int, side: str, radius: int) -> FiniteInducedSubgraph:
     """All vertices within graph distance radius of the given center.
@@ -257,17 +198,6 @@ def ball(graph: BipartiteGraph, center: int, side: str, radius: int) -> FiniteIn
                 edges.append((a, b))
     boundary = [v for (s, v), r in dist.items() if s == "B" and r == radius]
     return FiniteInducedSubgraph.build(a_set, b_set, edges, boundary)
-
-
-def step_radius(h: Callable[[int], int], d: int, n: int) -> int:
-    """Ball radius schedule for the n-th construction step.
-
-    Evaluates max(2*h(2d) + 3 + n, 5 + n) with the construction's original
-    witness h; witness shifts accumulated during the run do not enter here.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return max(2 * h(2 * d) + 3 + n, 5 + n)
 
 
 def is_A_reflected(

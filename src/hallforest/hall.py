@@ -31,13 +31,10 @@ BRUTE_FORCE_CAP = 14
 class HallWitness:
     """A total nondecreasing-style threshold function with h(0) = 0.
 
-    Wraps a plain callable on nonnegative integers. shift(c) produces the
-    reindexed witness n -> h(n + c) for n > 0 (pinned back to 0 at 0), the
-    form in which witnesses survive one construction step.
+    Wraps a plain callable on nonnegative integers.
     """
 
     fn: Callable[[int], int]
-    offset: int = 0
 
     def __post_init__(self):
         if self(0) != 0:
@@ -48,12 +45,7 @@ class HallWitness:
             raise ValueError("witness arguments are nonnegative")
         if n == 0:
             return 0
-        return self.fn(n + self.offset)
-
-    def shift(self, c: int) -> "HallWitness":
-        if c < 0:
-            raise ValueError("shift must be nonnegative")
-        return HallWitness(self.fn, self.offset + c)
+        return self.fn(n)
 
     @classmethod
     def identity(cls) -> "HallWitness":
@@ -97,10 +89,6 @@ class Matching:
 
     def to_json(self) -> str:
         return json.dumps([[a, b] for a, b in self.pairs], separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Matching":
-        return cls(tuple(p) for p in json.loads(text))
 
     def to_dot(self, host: FiniteInducedSubgraph | None = None) -> str:
         """DOT rendering; matched edges are colored, host edges stay plain."""

@@ -29,43 +29,23 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import BipartiteGraph, step_radius
+from .graph import BipartiteGraph
 from .hall import HallWitness, solve_relaxed
-
-DEFAULT_RADIUS_CAP = 3
 
 
 class MatcherBudgetError(RuntimeError):
     """The step budget ran out before the requested vertex was settled."""
 
 
-def shift_witness(h: HallWitness, c: int) -> HallWitness:
-    """Reindexed witness n -> h(n + c) for n > 0, pinned to 0 at 0."""
-    return h.shift(c)
-
-
-def cumulative_shift(d: int, step: int) -> int:
-    """Total witness shift after the given number of completed steps.
-
-    The first step costs d - 1 (one A-vertex retires against d - 1 fresh
-    partners), every later step costs 2d.
-    """
-    if step <= 0:
-        return 0
-    return (d - 1) + 2 * d * (step - 1)
-
-
 class HaremMatcher:
     """Stateful constructor of the perfect (1, d-1)-matching.
 
     graph must be symmetric and diagonal-free in the sense of
-    SymmetricDoubleGraph; h is the original witness (kept unshifted for the
-    radius schedule); d >= 3. radius_cap truncates the radius schedule:
-    balls are solved at min(schedule, radius_cap), bumped up to the next odd
-    value, which is sound because a relaxed matching on a larger ball
-    restricts to one on a smaller odd-radius ball. step_limit, when set,
-    bounds run_step calls made on behalf of lazy queries; exceeding it
-    raises MatcherBudgetError instead of grinding on.
+    SymmetricDoubleGraph; h is the host's Hall witness, read only by the
+    sanity check of the host; d >= 3. Every step solves a relaxed matching
+    on a radius-3 ball. step_limit, when set, bounds run_step calls made on
+    behalf of lazy queries; exceeding it raises MatcherBudgetError instead
+    of grinding on.
     """
 
     def __init__(
@@ -73,7 +53,6 @@ class HaremMatcher:
         graph: BipartiteGraph,
         d: int,
         h: HallWitness,
-        radius_cap: int = DEFAULT_RADIUS_CAP,
         step_limit: int | None = None,
         check: bool = False,
     ):
@@ -81,12 +60,8 @@ class HaremMatcher:
             raise ValueError("d must be at least 3")
         if h(0) != 0:
             raise ValueError("witness must satisfy h(0) = 0")
-        if radius_cap < 3:
-            raise ValueError("radius_cap must be at least 3")
         self.graph = graph
         self.d = d
-        self.h_original = h
-        self.radius_cap = radius_cap
         self.step_limit = step_limit
         self.check = check
         self.step = 0
@@ -97,13 +72,13 @@ class HaremMatcher:
         self._parts = array("i", [0] * (2 * (d - 1)))
         self._fans: dict[int, tuple[int, ...]] = {}
         self._leaf_root: dict[int, int] = {}
-        self._sanity_check_host()
+        self._sanity_check_host(h)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _sanity_check_host(self) -> None:
+    def _sanity_check_host(self, h: HallWitness) -> None:
         g = self.graph
-        probe = max(1, self.h_original(1))
+        probe = max(1, h(1))
         for v in range(1, 13):
             if g.adjacent(v, v):
                 raise ValueError(f"host relates {v} to itself; a diagonal-free host is required")
@@ -159,15 +134,6 @@ class HaremMatcher:
     def fans(self) -> dict[int, tuple[int, ...]]:
         return dict(self._fans)
 
-    @property
-    def witness(self) -> HallWitness:
-        """The witness currently carried by the remaining host."""
-        return self.h_original.shift(cumulative_shift(self.d, self.step))
-
-    def effective_radius(self, n: int) -> int:
-        r = min(step_radius(self.h_original, self.d, n), self.radius_cap)
-        return r + 1 if r % 2 == 0 else r
-
     # -- committing -------------------------------------------------------
 
     def _commit(self, a: int, bs: tuple[int, ...]) -> None:
@@ -187,68 +153,31 @@ class HaremMatcher:
 
     # -- ball solving -----------------------------------------------------
 
-    def _live_b(self, b: int) -> bool:
-        return self.owner_of(b) == 0 and b not in self._leaf_root
-
-    def _live_a(self, a: int) -> bool:
-        return not self.a_removed(a) and a not in self._fans
-
     def _ball_parts(self, center: int) -> dict[int, list[int]]:
-        """Relaxed (1, d)-matching on the ball around a live, unreserved center.
+        """Relaxed (1, d)-matching on the radius-3 ball around a live center.
 
         The ball lives in the current remaining host minus all fan roots and
-        fan leaves. Returns the sorted partners of each ball A-vertex.
+        fan leaves; the center is not a fan root. Its interior B-vertices
+        are the center's live section, its A-vertices the live sections of
+        those. Returns the sorted partners of each ball A-vertex. Liveness
+        is read straight from the state arrays; nothing here mutates them.
         """
-        radius = self.effective_radius(self.step)
-        if radius == 3:
-            # Hot path: liveness is read straight from the state arrays
-            # (_live_b / _live_a inlined); nothing here mutates them.
-            section = self.graph.neighbors_a
-            owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
-            n_owner, n_parts, d1 = len(owner), len(parts), self.d - 1
-            interior = [b for b in section(center)
-                        if (b >= n_owner or not owner[b]) and b not in leaf_root]
-            a_seen = {center}
-            for b in interior:
-                for a in section(b):
-                    if a not in a_seen and (a * d1 >= n_parts or not parts[a * d1]) \
-                            and a not in fans:
-                        a_seen.add(a)
-            a_order = sorted(a_seen)
-            nbrs = {a: [b for b in section(a)
-                        if (b >= n_owner or not owner[b]) and b not in leaf_root]
-                    for a in a_order}
-        else:
-            a_order, nbrs, interior = self._ball_layers(center, radius)
+        section = self.graph.neighbors_a
+        owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
+        n_owner, n_parts, d1 = len(owner), len(parts), self.d - 1
+        interior = [b for b in section(center)
+                    if (b >= n_owner or not owner[b]) and b not in leaf_root]
+        a_seen = {center}
+        for b in interior:
+            for a in section(b):
+                if a not in a_seen and (a * d1 >= n_parts or not parts[a * d1]) \
+                        and a not in fans:
+                    a_seen.add(a)
+        a_order = sorted(a_seen)
+        nbrs = {a: [b for b in section(a)
+                    if (b >= n_owner or not owner[b]) and b not in leaf_root]
+                for a in a_order}
         return solve_relaxed(a_order, nbrs, interior, self.d)
-
-    def _ball_layers(self, center: int, radius: int):
-        # Generic odd-radius ball in the starred remaining host. Interior
-        # B-vertices are those strictly inside the cut; every A-vertex keeps
-        # its full live section as candidates (sections of A-vertices at
-        # distance < radius stay inside the ball).
-        is_live_b = self._live_b
-        dist_a = {center: 0}
-        dist_b: dict[int, int] = {}
-        frontier_a = [center]
-        for r in range(1, radius, 2):
-            layer_b = []
-            for a in frontier_a:
-                for b in self.graph.neighbors_a(a):
-                    if b not in dist_b and is_live_b(b):
-                        dist_b[b] = r
-                        layer_b.append(b)
-            frontier_a = []
-            if r + 1 < radius:
-                for b in layer_b:
-                    for a in self.graph.neighbors_b(b):
-                        if a not in dist_a and self._live_a(a):
-                            dist_a[a] = r + 1
-                            frontier_a.append(a)
-        a_order = sorted(dist_a)
-        nbrs = {a: [b for b in self.graph.neighbors_a(a) if is_live_b(b)] for a in a_order}
-        interior = [b for b, r in dist_b.items() if r < radius]
-        return a_order, nbrs, interior
 
     # -- stepping ---------------------------------------------------------
 
@@ -365,11 +294,6 @@ class HaremMatcher:
             self.run_step()
         return self.partners_of(a)
 
-    def ensure_prefix(self, n: int) -> None:
-        """Settle f on all of 1..n."""
-        for v in range(1, n + 1):
-            self.f(v)
-
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self) -> dict:
@@ -397,12 +321,10 @@ class HaremMatcher:
         graph: BipartiteGraph,
         h: HallWitness,
         checkpoint: dict,
-        radius_cap: int = DEFAULT_RADIUS_CAP,
         step_limit: int | None = None,
         check: bool = False,
     ) -> "HaremMatcher":
-        m = cls(graph, checkpoint["d"], h, radius_cap=radius_cap,
-                step_limit=step_limit, check=check)
+        m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
         grouped: dict[int, list[int]] = {}
         for a, b in checkpoint["committed"]:
             grouped.setdefault(a, []).append(b)
@@ -417,6 +339,14 @@ class HaremMatcher:
             raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
         for fan in checkpoint["fans"]:
             root, leaves = fan["root"], tuple(fan["leaves"])
+            if m.a_removed(root) or root in m._fans:
+                raise ValueError(f"corrupt checkpoint: fan root {root} is retired or repeated")
+            if len(set(leaves)) != m.d - 1:
+                raise ValueError(f"corrupt checkpoint: fan of {root} holds {len(set(leaves))} "
+                                 f"distinct leaves, not {m.d - 1}")
+            for b in leaves:
+                if m.b_removed(b) or b in m._leaf_root:
+                    raise ValueError(f"corrupt checkpoint: fan leaf {b} is committed or shared")
             m._fans[root] = leaves
             for b in leaves:
                 m._leaf_root[b] = root
@@ -424,25 +354,6 @@ class HaremMatcher:
         while m.a_removed(m._cursor):
             m._cursor += 1
         return m
-
-
-class MatchFunction:
-    """Read-only functional view of a matcher: f, preimages, prefix barriers."""
-
-    def __init__(self, matcher: HaremMatcher):
-        self.matcher = matcher
-        self.d = matcher.d
-
-    def __call__(self, n: int) -> int:
-        return self.matcher.f(n)
-
-    def preimages(self, a: int) -> tuple[int, ...]:
-        return self.matcher.preimages(a)
-
-    def iterate(self, n: int, k: int) -> int:
-        for _ in range(k):
-            n = self.matcher.f(n)
-        return n
 
 
 @dataclass
@@ -466,7 +377,7 @@ class CycleControlReport:
         return not self.violations
 
 
-def verify_cycle_control(f: MatchFunction | Callable[[int], int], upto: int) -> CycleControlReport:
+def verify_cycle_control(f: Callable[[int], int], upto: int) -> CycleControlReport:
     """Walk every orbit with start 2..upto and check the cycle bounds.
 
     Periodic starts must return within max(2, n) iterations (minimal period

@@ -101,22 +101,6 @@ class WobblingPair:
         return n
 
 
-def ordered_forest_neighbors(forest: ForestFunction, n: int) -> tuple[int, int, int, int]:
-    """The four forest neighbors of n, ascending; errors off 4-regularity."""
-    nbrs = forest.forest_neighbors(n)
-    if len(nbrs) != 4:
-        raise ValueError(f"{n} has {len(nbrs)} forest neighbors, expected 4")
-    return nbrs
-
-
-def build_labeling(forest: ForestFunction) -> EdgeLabeling:
-    return EdgeLabeling(forest)
-
-
-def build_wobbling_pair(forest: ForestFunction) -> WobblingPair:
-    return WobblingPair(EdgeLabeling(forest))
-
-
 def reduced_words(length: int) -> list[tuple[str, ...]]:
     """All reduced words of exactly the given length, in canonical order.
 
@@ -153,7 +137,7 @@ def verify_free_semiregular(pair: WobblingPair, word_len: int, upto: int) -> Wob
     """
     report = WobblingReport(upto=upto, word_len=word_len)
     forest = pair.forest
-    related = forest.stripped.member
+    related = forest.entourage.related
     for n in range(1, upto + 1):
         if pair.alpha_inv(pair.alpha(n)) != n or pair.alpha(pair.alpha_inv(n)) != n:
             report.violations.append(f"alpha is not inverted by alpha_inv at {n}")

@@ -32,14 +32,15 @@ from itertools import combinations_with_replacement
 import pytest
 
 from hallforest import (
+    EdgeLabeling,
     FiniteInducedSubgraph,
     ForestFunction,
     HallWitness,
     HaremMatcher,
     MatcherBudgetError,
     TreeEntourage,
+    WobblingPair,
     brute_force_matching,
-    build_wobbling_pair,
     check_expansion,
     check_harem_condition,
     cli,
@@ -222,7 +223,7 @@ def fixes_by_halves(pair, word: tuple[str, ...], n: int) -> bool:
 
 def test_acceptance_6_wobbling_freeness():
     forest = ForestFunction(TreeEntourage(7), 4, step_limit=STEP_BUDGET)
-    pair = build_wobbling_pair(forest)
+    pair = WobblingPair(EdgeLabeling(forest))
     word, n = (), 0
     try:
         for n in range(1, 101):

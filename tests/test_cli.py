@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -101,6 +102,46 @@ def test_verify_reruns_are_byte_identical(tree7_space, tmp_path):
         "wobbling", "reflected"}
 
 
+# sha256 of every file each run writes, recorded before the CLI was reduced
+# to one report pipeline; a refactor must leave every byte in place
+PINNED_RUNS = {
+    "match": (6, ["match", "--d", 4, "--n", 50, "--format", "dot"], {
+        "checkpoint.json": "c61910d6ab4a043ac541d1075f7acff9837f5da84c386076cbbf244b6e805317",
+        "matching.dot": "edea9ce65222ff28de083372c3c8ce6041a69f085ca96f75da327a3ed9b163e1",
+        "matching.json": "d994b7ef2f8dd996d47a2dd73c6390fadd1113de96bfa9b867a6d95139368c47",
+        "report.json": "48d18a775105ac69465bc8185d9475c44d0114c7d3e0a29b9d280d5e39b6fd9a",
+    }),
+    "forest": (6, ["forest", "--d", 3, "--n", 100, "--format", "dot"], {
+        "forest.dot": "8da5a7f2ff07cd86c0d2eb1eb7b2569e9e60c79f53997436e6f1dbedda7ddbc9",
+        "forest.json": "d167fdcb9dacc0574051b73d2df5c2e60f6c83c58e98704cc67122096072ad15",
+        "report.json": "594b0d78bce5ffac50df33ace95002fa8effa252e1fb640466af6306373fc5df",
+    }),
+    "wobble": (7, ["wobble", "--n", 20, "--word-len", 2, "--format", "dot"], {
+        "report.json": "520dca9453fdfd971caa4640a668024d62d1d90cfc74126e796610d96c377dbd",
+        "wobble.dot": "e08c44df7b15a90be4303f3eeb735415909f5fd803292dd470a42f0127965edd",
+        "wobble.json": "84752fe3c766d524466c52a2f97c317773b099ca574185a1519bd3a50a99dbd3",
+    }),
+    "verify": (7, ["verify", "--d", 4, "--n", 20, "--word-len", 1], {
+        "checkpoint.json": "150d0bef255cfcc70ed4d759f9a1fa8b7368ac2248516815cbe3e4284f839964",
+        "report.json": "a1c6a0241b87147eba17d66d7ecf4900abb8bc87158bce5861b2d93134088132",
+    }),
+    "verify_d3": (6, ["verify", "--d", 3, "--n", 12], {
+        "checkpoint.json": "362b3eb33b872e1f04ae7bedb9121a312fd4ff962f2ca8ab223db275443342ad",
+        "report.json": "9c65c79a2d68490c2d734a023211f942cfd853c4fb6c34b66c1d4183cdc13f7d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_artifact_bytes_are_pinned(tmp_path, name):
+    r, argv, want = PINNED_RUNS[name]
+    assert run("gen-tree", "--r", r, "--out", tmp_path) == 0
+    out = tmp_path / "out"
+    assert run(argv[0], "--space", tmp_path / "descriptor.json", *argv[1:], "--out", out) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == want
+
+
 def test_verify_skips_wobbling_off_degree_four(tree6_space, tmp_path):
     out = tmp_path / "v3"
     assert run("verify", "--space", tree6_space, "--d", 3, "--n", 12,
@@ -116,7 +157,7 @@ def test_missing_space_file(tmp_path):
     assert exc.value.code == 2
 
 
-def test_unreadable_space_descriptor(tmp_path):
+def test_unreadable_space_descriptor(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SystemExit) as exc:
@@ -127,6 +168,25 @@ def test_unreadable_space_descriptor(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("forest", "--space", strange, "--d", 3, "--out", tmp_path)
     assert exc.value.code == 2
+    # valid JSON that is not an object: one stderr line, no traceback
+    for text in ("[]", "7", '"x"', "null"):
+        strange.write_text(text)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("forest", "--space", strange, "--d", 3, "--out", tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be a JSON object" in err
+
+
+@pytest.mark.parametrize("command", ["wobble", "verify"])
+def test_rejects_word_length_below_one(tree7_space, tmp_path, command):
+    for word_len in (0, -2):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--space", tree7_space, "--n", 4, "--word-len", word_len,
+                "--out", tmp_path / "out")
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_rejects_degree_below_three(tree6_space, tmp_path):

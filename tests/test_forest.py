@@ -10,12 +10,10 @@ from hallforest import (
     ExplicitEntourage,
     ForestFunction,
     TreeEntourage,
-    build_tree_entourage,
     check_expansion,
     double_graph,
     forest_to_dot,
     forest_to_json,
-    strip_diagonal,
     verify_forest,
 )
 
@@ -44,7 +42,6 @@ def test_tree_entourage_section_pins(tree6):
     assert tree6.section(2) == (1, 2, 8, 9, 10, 11, 12)
     assert tree6.member(2, 8) and tree6.member(8, 2)
     assert not tree6.member(2, 13)
-    assert build_tree_entourage(6).section(1) == tree6.section(1)
 
 
 def test_tree_entourage_rejects_small_degree():
@@ -59,14 +56,14 @@ def test_explicit_entourage_is_symmetric_and_reflexive():
     assert ent.section(9) == (9,)  # untouched points are isolated loops
 
 
-def test_strip_diagonal():
+def test_strip_diagonal(tree6):
+    # neighbors and related are the entourage with its diagonal stripped
     ent = ExplicitEntourage([(1, 2), (2, 3)])
-    stripped = strip_diagonal(ent)
-    assert stripped.section(2) == (1, 3)
-    assert not stripped.member(2, 2)
-    assert stripped.member(2, 1)
-    again = strip_diagonal(stripped)  # idempotent on anything section-shaped
-    assert again.section(2) == (1, 3)
+    assert ent.neighbors(2) == (1, 3)
+    assert not ent.related(2, 2) and ent.member(2, 2)
+    assert ent.related(2, 1) and not ent.related(1, 3)
+    assert tree6.neighbors(2) == (1, 8, 9, 10, 11, 12)
+    assert not tree6.related(2, 2) and tree6.related(2, 8) and tree6.related(8, 2)
 
 
 def test_double_graph_of_explicit_entourage():
@@ -210,7 +207,7 @@ def test_forest_step_paths_stay_in_entourage(forest63):
         assert hops[0] == n and hops[-1] == f.f_star(n)
         assert len(hops) in (2, 3)
         for p, q in zip(hops, hops[1:]):
-            assert f.stripped.member(p, q)
+            assert f.entourage.related(p, q)
 
 
 def test_forest_preimages_and_neighbors(forest63):

@@ -7,14 +7,11 @@ import pytest
 from hallforest import (
     ExplicitBipartiteGraph,
     FiniteInducedSubgraph,
-    OracleInconsistencyError,
     SymmetricDoubleGraph,
     ball,
     double_graph,
     is_A_reflected,
-    step_radius,
 )
-from hallforest.graph import BipartiteGraph
 
 from conftest import bfs_tree_adjacency
 
@@ -57,38 +54,6 @@ def test_explicit_graph_neighbors():
     assert g.neighbors_a(9) == ()
     assert g.degree_a(9) == 0
     assert not g.adjacent(2, 1)
-
-
-def test_default_scan_collects_ascending():
-    class Evens(BipartiteGraph):
-        def adjacent(self, a, b):
-            return b in (2 * a, 2 * a + 2)
-
-        def degree_a(self, a):
-            return 2
-
-        def degree_b(self, b):
-            return 1
-
-    g = Evens()
-    assert g.neighbors_a(3) == (6, 8)
-
-
-def test_lying_oracle_fails_loudly():
-    class Liar(BipartiteGraph):
-        scan_cap = 50
-
-        def adjacent(self, a, b):
-            return b in (1, 2)
-
-        def degree_a(self, a):
-            return 5
-
-        def degree_b(self, b):
-            return 1
-
-    with pytest.raises(OracleInconsistencyError):
-        Liar().neighbors_a(1)
 
 
 def test_double_graph_sections_match_oracle(tree6):
@@ -155,25 +120,6 @@ def test_ball_rejects_bad_arguments():
         ball(g, 1, "left", 1)
 
 
-# -- the radius schedule -------------------------------------------------------
-
-
-def test_step_radius_pins():
-    identity = lambda n: n
-    zero = lambda n: 0
-    assert step_radius(identity, 2, 0) == 11
-    assert step_radius(zero, 3, 0) == 5
-    assert step_radius(identity, 3, 4) == 19
-
-
-def test_step_radius_monotone_in_n():
-    identity = lambda n: n
-    radii = [step_radius(identity, 3, n) for n in range(10)]
-    assert radii == sorted(radii)
-    with pytest.raises(ValueError):
-        step_radius(identity, 1, 0)
-
-
 # -- mirror-edge prefix check ----------------------------------------------------
 
 
@@ -205,23 +151,6 @@ def test_subgraph_validate_rejects_stray_edge():
         FiniteInducedSubgraph.build([1], [1, 2], [(1, 3)])
     with pytest.raises(ValueError):
         FiniteInducedSubgraph.build([1], [1], [(1, 1)], boundary=[2])
-
-
-def test_subgraph_json_roundtrip():
-    sub = FiniteInducedSubgraph.build([2, 1], [3, 1], [(1, 1), (2, 3)], boundary=[3])
-    again = FiniteInducedSubgraph.from_json(sub.to_json())
-    assert again == sub
-    assert again.a_vertices == (1, 2)
-    assert again.interior_b() == (1,)
-    assert sub.to_json().endswith("\n")
-
-
-def test_subgraph_dot_mentions_every_edge():
-    sub = FiniteInducedSubgraph.build([1], [1, 2], [(1, 1), (1, 2)], boundary=[2])
-    dot = sub.to_dot()
-    assert '"a1" -- "b1";' in dot
-    assert '"a1" -- "b2";' in dot
-    assert "style=dashed" in dot  # boundary vertices are marked
 
 
 def test_symmetric_double_from_callable():

@@ -10,13 +10,10 @@ import pytest
 from hallforest import (
     HallWitness,
     HaremMatcher,
-    MatchFunction,
     MatcherBudgetError,
     SymmetricDoubleGraph,
-    cumulative_shift,
     double_graph,
     is_A_reflected,
-    shift_witness,
     verify_cycle_control,
 )
 
@@ -65,16 +62,6 @@ def test_rejects_low_degree_host():
     ring = SymmetricDoubleGraph(lambda v: tuple(sorted({(v % 6) + 1, ((v - 2) % 6) + 1})))
     with pytest.raises(ValueError, match="degree"):
         HaremMatcher(ring, 3, HallWitness.identity())
-
-
-def test_radius_schedule_is_capped(tree6):
-    m = fresh(tree6, 4)
-    assert m.effective_radius(0) == 3
-    assert m.effective_radius(50) == 3
-    wide = fresh(tree6, 4, radius_cap=4)
-    assert wide.effective_radius(0) == 5  # even caps bump to the next odd
-    with pytest.raises(ValueError):
-        fresh(tree6, 4, radius_cap=2)
 
 
 # -- the anchor 2-cycle ------------------------------------------------------------
@@ -134,14 +121,6 @@ def test_fan_count_and_reflectedness_per_step(tree6):
         assert is_A_reflected(host, 40, m.removed_a_set(), m.removed_b_set())
 
 
-def test_match_function_view(m80):
-    f = MatchFunction(m80)
-    assert f.d == 4
-    assert f(1) == m80.f(1)
-    assert f.iterate(1, 2) == 1
-    assert f.preimages(2) == m80.preimages(2)
-
-
 # -- cycle control ----------------------------------------------------------------
 
 
@@ -162,25 +141,6 @@ def test_cycle_control_flags_bad_function():
     shifted = verify_cycle_control(lambda n: n + 1, 5)  # never repeats
     assert not shifted.ok
     assert any("no repeat" in v for v in shifted.violations)
-
-
-# -- witness bookkeeping -------------------------------------------------------------
-
-
-def test_cumulative_shift_pins():
-    assert cumulative_shift(4, 0) == 0
-    assert cumulative_shift(4, 1) == 3
-    assert cumulative_shift(4, 2) == 11
-    assert cumulative_shift(3, 5) == 2 + 4 * 6
-
-
-def test_witness_tracks_steps(tree6):
-    m = fresh(tree6, 4)
-    h = HallWitness.identity()
-    assert m.witness(1) == 1
-    m.advance_to_step(2)
-    assert m.witness(1) == h(1 + cumulative_shift(4, 2))
-    assert shift_witness(h, 11)(1) == 12
 
 
 def connected_subsets(section, seeds, max_size):
@@ -248,13 +208,32 @@ def test_restore_resumes_bit_exact(tree6):
     assert resumed.checkpoint_json() == straight.checkpoint_json()
 
 
-def test_restore_rejects_corrupt_checkpoints(tree6):
+def test_restore_rejects_corrupt_checkpoints(tree6, t6k3):
     m = fresh(tree6, 4)
     m.advance_to_step(10)
     cp = m.checkpoint()
     broken = dict(cp, committed=cp["committed"][1:])
     with pytest.raises(ValueError):
         HaremMatcher.restore(double_graph(tree6), HallWitness.identity(), broken)
+    # fans: at step 6 on T6xK3 the one live fan is 8 -> (38, 41, 44)
+    m = HaremMatcher(t6k3, 4, HallWitness.identity())
+    m.advance_to_step(6)
+    cp = m.checkpoint()
+    assert cp["fans"] == [{"root": 8, "leaves": [38, 41, 44]}]
+    assert 2 in cp["removed_b"] and 7 in cp["removed_a"]
+    bad_fans = [
+        [{"root": 8, "leaves": [2, 41, 44]}],    # leaf already committed
+        [{"root": 7, "leaves": [38, 41, 44]}],   # root already retired
+        [{"root": 8, "leaves": [38]}],           # one leaf, not d - 1
+        [{"root": 8, "leaves": [38, 38, 41]}],   # a leaf twice
+        [{"root": 8, "leaves": [38, 41, 44]}, {"root": 8, "leaves": [47, 50, 53]}],  # root twice
+        [{"root": 8, "leaves": [38, 41, 44]}, {"root": 9, "leaves": [44, 50, 53]}],  # leaf shared
+    ]
+    for fans in bad_fans:
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            HaremMatcher.restore(t6k3, HallWitness.identity(), dict(cp, fans=fans))
+    resumed = HaremMatcher.restore(t6k3, HallWitness.identity(), cp)
+    assert resumed.checkpoint() == cp
 
 
 def test_two_runs_are_byte_identical(tree6):

@@ -122,13 +122,12 @@ def test_greedy_first_agrees_on_random_instances():
     assert kinds["matched"] > 30 and kinds["infeasible"] > 30
 
 
-@pytest.mark.parametrize("space, steps, radius_cap", [
-    ("tree6", 1500, 3),
-    ("tree7", 1500, 3),
-    ("t6k3", 1500, 3),
-    ("tree6", 300, 5),  # radius-5 balls come from _ball_layers
+@pytest.mark.parametrize("space, steps", [
+    ("tree6", 1500),
+    ("tree7", 1500),
+    ("t6k3", 1500),
 ])
-def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, steps, radius_cap):
+def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, steps):
     balls = []
 
     def both(*args):
@@ -139,6 +138,6 @@ def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, 
         return got[1]
 
     monkeypatch.setattr(hallforest.matcher, "solve_relaxed", both)
-    m = HaremMatcher(host_of(space), 4, HallWitness.identity(), radius_cap=radius_cap)
+    m = HaremMatcher(host_of(space), 4, HallWitness.identity())
     m.advance_to_step(steps)
     assert len(balls) >= steps

@@ -7,10 +7,9 @@ import json
 import pytest
 
 from hallforest import (
+    EdgeLabeling,
     ForestFunction,
-    build_labeling,
-    build_wobbling_pair,
-    ordered_forest_neighbors,
+    WobblingPair,
     reduced_words,
     verify_free_semiregular,
     wobble_to_dot,
@@ -26,19 +25,18 @@ def forest74(tree7) -> ForestFunction:
 
 @pytest.fixture(scope="module")
 def pair(forest74):
-    return build_wobbling_pair(forest74)
+    return WobblingPair(EdgeLabeling(forest74))
 
 
 def test_labeling_needs_four_regularity(tree6):
     narrow = ForestFunction(tree6, 3)
+    assert len(narrow.forest_neighbors(1)) == 3
     with pytest.raises(ValueError):
-        build_labeling(narrow)
-    with pytest.raises(ValueError):
-        ordered_forest_neighbors(narrow, 1)
+        EdgeLabeling(narrow)
 
 
 def test_ordered_neighbors_pin(forest74):
-    assert ordered_forest_neighbors(forest74, 1) == (2, 3, 4, 15)
+    assert forest74.forest_neighbors(1) == (2, 3, 4, 15)
 
 
 def test_root_directions_pin(pair):
