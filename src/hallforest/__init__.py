@@ -37,8 +37,6 @@ from .forest import (
     TreeEntourage,
     check_expansion,
     double_graph,
-    forest_to_dot,
-    forest_to_json,
     verify_forest,
 )
 from .wobbling import (
@@ -46,8 +44,6 @@ from .wobbling import (
     WobblingPair,
     reduced_words,
     verify_free_semiregular,
-    wobble_to_dot,
-    wobble_to_json,
 )
 
 __version__ = "0.1.0"
@@ -75,15 +71,11 @@ __all__ = [
     "check_expansion",
     "check_harem_condition",
     "double_graph",
-    "forest_to_dot",
-    "forest_to_json",
     "is_A_reflected",
     "reduced_words",
     "solve_relaxed",
     "verify_cycle_control",
     "verify_forest",
     "verify_free_semiregular",
-    "wobble_to_dot",
-    "wobble_to_json",
     "__version__",
 ]

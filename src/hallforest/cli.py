@@ -23,20 +23,12 @@ from .forest import (
     TreeEntourage,
     check_expansion,
     double_graph,
-    forest_to_dot,
-    forest_to_json,
     verify_forest,
 )
 from .graph import is_A_reflected
-from .hall import HallWitness, Matching
+from .hall import HallWitness
 from .matcher import HaremMatcher, verify_cycle_control
-from .wobbling import (
-    EdgeLabeling,
-    WobblingPair,
-    verify_free_semiregular,
-    wobble_to_dot,
-    wobble_to_json,
-)
+from .wobbling import EdgeLabeling, WobblingPair, verify_free_semiregular
 
 
 def _write(path: Path, text: str) -> None:
@@ -48,11 +40,18 @@ def _write_json(path: Path, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _write_artifact(out: Path, name: str, fmt: str, to_json, to_dot, *args) -> None:
-    """name.json, and name.dot next to it under --format dot."""
-    _write(out / f"{name}.json", to_json(*args))
+def _write_dot(out: Path, name: str, fmt: str, header: str, *parts) -> None:
+    """name.dot under --format dot: the header, each part's statements, "}".
+
+    Parts are generators of statements (no indent or semicolon) over the
+    JSON artifact's data; nothing is formatted unless the DOT file is written.
+    """
     if fmt == "dot":
-        _write(out / f"{name}.dot", to_dot(*args))
+        lines = [f"{header} {{"]
+        for part in parts:
+            lines.extend(f"  {statement};" for statement in part)
+        lines.append("}")
+        _write(out / f"{name}.dot", "\n".join(lines) + "\n")
 
 
 def _fail(message: str) -> NoReturn:
@@ -162,8 +161,12 @@ def cmd_gen_tree(args) -> int:
 def cmd_match(args, descriptor: dict, ent: Entourage) -> int:
     out = Path(args.out)
     matcher = _build(HaremMatcher, double_graph(ent), args.d, HallWitness.identity())
-    matching = Matching((matcher.f(b), b) for b in range(1, args.n + 1))
-    _write_artifact(out, "matching", args.format, matching.to_json, matching.to_dot)
+    pairs = sorted((matcher.f(b), b) for b in range(1, args.n + 1))
+    _write_json(out / "matching.json", pairs)
+    _write_dot(out, "matching", args.format, "graph matching",
+               (f'"a{a}" [shape=circle]' for a in sorted({a for a, _ in pairs})),
+               (f'"b{b}" [shape=box]' for b in sorted({b for _, b in pairs})),
+               (f'"a{a}" -- "b{b}" [color=red, penwidth=2]' for a, b in pairs))
     _write(out / "checkpoint.json", matcher.checkpoint_json())
     checks = {
         "cycle_control": _cycle_control_block(matcher, args.n),
@@ -181,7 +184,12 @@ def cmd_forest(args, descriptor: dict, ent: Entourage) -> int:
     forest = _build(ForestFunction, ent, args.d)
     checks = {"forest": _forest_block(forest, args.n),
               "expansion": _expansion_samples(ent, args.d + 2, args.seed)}
-    _write_artifact(out, "forest", args.format, forest_to_json, forest_to_dot, forest, args.n)
+    edges = [[v, forest.f_star(v)] for v in range(1, args.n + 1)]
+    roots = list(forest.roots_up_to(args.n))
+    _write_json(out / "forest.json", {"edges": edges, "roots": roots})
+    _write_dot(out, "forest", args.format, "digraph forest",
+               (f'"{root}" [shape=doublecircle]' for root in roots),
+               (f'"{v}" -> "{w}"' for v, w in edges))
     return _report(out, descriptor, {"command": "forest", "d": args.d, "n": args.n}, checks)
 
 
@@ -190,7 +198,12 @@ def cmd_wobble(args, descriptor: dict, ent: Entourage) -> int:
     pair = WobblingPair(EdgeLabeling(_build(ForestFunction, ent, 4)))
     checks = {"wobbling": _wobbling_block(pair, args.word_len, args.n),
               "expansion": _expansion_samples(ent, 6, args.seed)}
-    _write_artifact(out, "wobble", args.format, wobble_to_json, wobble_to_dot, pair, args.n)
+    labels = {str(v): list(pair.labeling.directions(v)) for v in range(1, args.n + 1)}
+    _write_json(out / "wobble.json", labels)
+    # directions are listed a+, a-, b+, b-: alpha is the first, beta the third
+    _write_dot(out, "wobble", args.format, "digraph wobbling",
+               (f'"{v}" -> "{dirs[0]}" [label="a"]' for v, dirs in labels.items()),
+               (f'"{v}" -> "{dirs[2]}" [label="b"]' for v, dirs in labels.items()))
     fields = {"command": "wobble", "n": args.n, "word_len": args.word_len}
     return _report(out, descriptor, fields, checks)
 

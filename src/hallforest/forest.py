@@ -19,7 +19,6 @@ direction labeling downstream leans on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,12 +33,9 @@ class Entourage:
     section(v) lists everything related to v, v itself included, ascending.
     """
 
-    def member(self, x: int, y: int) -> bool:
-        return y in self.section(x)
-
     def related(self, x: int, y: int) -> bool:
         """Membership in the diagonal-free part: x and y are distinct and related."""
-        return x != y and self.member(x, y)
+        return x != y and y in self.section(x)
 
     def section(self, v: int) -> tuple[int, ...]:
         raise NotImplementedError
@@ -58,9 +54,6 @@ class ExplicitEntourage(Entourage):
         for v in sections:
             sections[v].add(v)
         self._sections = {v: tuple(sorted(s)) for v, s in sections.items()}
-
-    def member(self, x: int, y: int) -> bool:
-        return y in self._sections.get(x, ())
 
     def section(self, v: int) -> tuple[int, ...]:
         return self._sections.get(v, (v,))
@@ -94,8 +87,9 @@ class TreeEntourage(Entourage):
         first = r + 2 + (v - 2) * (r - 1)
         return tuple(range(first, first + r - 1))
 
-    def member(self, x: int, y: int) -> bool:
-        return x == y or self.parent(x) == y or self.parent(y) == x
+    def related(self, x: int, y: int) -> bool:
+        # tree neighbors are parent and child, and no vertex is its own parent
+        return self.parent(x) == y or self.parent(y) == x
 
     def section(self, v: int) -> tuple[int, ...]:
         p = self.parent(v)
@@ -150,14 +144,6 @@ class Classification:
     def climbs(self) -> bool:
         """Whether the forest step from here climbs two places up the root ray."""
         return self.kind == "root" or (self.kind == "root_ray" and self.height % 2 == 0)
-
-
-@dataclass(frozen=True)
-class RootInfo:
-    root: int
-    entry: int
-    period: int
-    steps_to_root: int
 
 
 class ForestFunction:
@@ -226,8 +212,8 @@ class ForestFunction:
             index[x] = len(orbit)
             orbit.append(x)
 
-    def find_root(self, n: int) -> RootInfo:
-        """Walk n's f-orbit to its cycle; the root is the cycle minimum.
+    def find_root(self, n: int) -> int:
+        """Walk n's f-orbit to its cycle and return the root, the cycle minimum.
 
         Cycle control caps the walk: entry within 2n steps, period at most
         max(2, n). Violations raise rather than looping.
@@ -240,7 +226,7 @@ class ForestFunction:
             raise RuntimeError(
                 f"cycle control broken at {n}: entry {first}, period {period}"
             )
-        return RootInfo(root, first, period, orbit.index(root))
+        return root
 
     # -- classification ------------------------------------------------------
 
@@ -349,7 +335,7 @@ class ForestFunction:
             path.append(p)
 
     def same_tree(self, x: int, y: int) -> bool:
-        return self.find_root(x).root == self.find_root(y).root
+        return self.find_root(x) == self.find_root(y)
 
     def ray_element(self, root: int, which: str, m: int) -> int:
         """m-th point of a ray by brute ascent; test and inspection helper."""
@@ -361,7 +347,7 @@ class ForestFunction:
         return x
 
     def roots_up_to(self, n: int) -> tuple[int, ...]:
-        return tuple(sorted({self.find_root(v).root for v in range(1, n + 1)}))
+        return tuple(sorted({self.find_root(v) for v in range(1, n + 1)}))
 
 
 # -- verification ------------------------------------------------------------
@@ -419,23 +405,3 @@ def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None =
             report.violations.append(
                 f"{n} has {len(pre)} forest preimages, expected {forest.d - 1}")
     return report
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def forest_to_json(forest: ForestFunction, upto: int) -> str:
-    edges = [[n, forest.f_star(n)] for n in range(1, upto + 1)]
-    payload = {"edges": edges, "roots": list(forest.roots_up_to(upto))}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def forest_to_dot(forest: ForestFunction, upto: int) -> str:
-    roots = set(forest.roots_up_to(upto))
-    lines = ["digraph forest {"]
-    for n in sorted(roots):
-        lines.append(f'  "{n}" [shape=doublecircle];')
-    for n in range(1, upto + 1):
-        lines.append(f'  "{n}" -> "{forest.f_star(n)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ repeated runs produce identical matchings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -51,10 +50,6 @@ class HallWitness:
     def identity(cls) -> "HallWitness":
         return cls(lambda n: n)
 
-    @classmethod
-    def zero(cls) -> "HallWitness":
-        return cls(lambda n: 0)
-
 
 class Matching:
     """A set of (a, b) pairs in which every b appears at most once."""
@@ -86,26 +81,6 @@ class Matching:
 
     def a_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(self._a_parts))
-
-    def to_json(self) -> str:
-        return json.dumps([[a, b] for a, b in self.pairs], separators=(",", ":")) + "\n"
-
-    def to_dot(self, host: FiniteInducedSubgraph | None = None) -> str:
-        """DOT rendering; matched edges are colored, host edges stay plain."""
-        matched = set(self.pairs)
-        lines = ["graph matching {"]
-        edges = sorted(matched | set(host.edges if host else ()))
-        nodes_a = sorted({a for a, _ in edges})
-        nodes_b = sorted({b for _, b in edges})
-        for a in nodes_a:
-            lines.append(f'  "a{a}" [shape=circle];')
-        for b in nodes_b:
-            lines.append(f'  "b{b}" [shape=box];')
-        for a, b in edges:
-            attr = ' [color=red, penwidth=2]' if (a, b) in matched else ""
-            lines.append(f'  "a{a}" -- "b{b}"{attr};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

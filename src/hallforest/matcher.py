@@ -151,6 +151,21 @@ class HaremMatcher:
             self._grow_owner(b)
             self._owner[b] = a
 
+    # -- the fan ledger: the only code that edits _fans and _leaf_root -------
+
+    def _take_fan(self, root: int) -> tuple[int, ...]:
+        """Release the fan reserved for root and return its leaves."""
+        leaves = self._fans.pop(root)
+        for b in leaves:
+            del self._leaf_root[b]
+        return leaves
+
+    def _reserve_fan(self, root: int, leaves: tuple[int, ...]) -> None:
+        """Hold leaves back for root, out of every ball, until it commits."""
+        self._fans[root] = leaves
+        for b in leaves:
+            self._leaf_root[b] = root
+
     # -- ball solving -----------------------------------------------------
 
     def _ball_parts(self, center: int) -> dict[int, list[int]]:
@@ -188,9 +203,7 @@ class HaremMatcher:
             self._cursor += 1
         an = self._cursor
         if an in self._fans:
-            leaves = self._fans.pop(an)
-            for b in leaves:
-                del self._leaf_root[b]
+            leaves = self._take_fan(an)
             self._commit(an, leaves)
             least = leaves[0]
         else:
@@ -216,9 +229,7 @@ class HaremMatcher:
                 # The target is reserved as a fan leaf: consume that fan
                 # whole, then keep going with its root in the target seat.
                 root = self._leaf_root[target]
-                leaves = self._fans.pop(root)
-                for b in leaves:
-                    del self._leaf_root[b]
+                leaves = self._take_fan(root)
                 self._commit(root, leaves)
                 if self.owner_of(root) != 0:
                     return
@@ -228,9 +239,7 @@ class HaremMatcher:
             if center in self._fans:
                 # The center is itself a live fan root: pair it with the
                 # target plus its lowest leaves, releasing the highest leaf.
-                leaves = self._fans.pop(center)
-                for b in leaves:
-                    del self._leaf_root[b]
+                leaves = self._take_fan(center)
                 self._commit(center, tuple(sorted((target,) + leaves[:d - 2])))
                 return
             parts = self._ball_parts(center)
@@ -248,23 +257,21 @@ class HaremMatcher:
             # Force the edge instead; the holder keeps its remaining ball
             # partners as a reserved fan for a later step.
             self._commit(center, tuple(sorted([target] + mine[:d - 2])))
-            fan = tuple(b for b in parts[holder] if b != target)
-            self._fans[holder] = fan
-            for b in fan:
-                self._leaf_root[b] = holder
+            self._reserve_fan(holder, tuple(b for b in parts[holder] if b != target))
             return
         raise RuntimeError("forced chain failed to terminate within the fan budget")
 
-    def advance_to_step(self, n: int) -> None:
-        while self.step < n:
-            self._spend()
-            self.run_step()
-
-    def _spend(self) -> None:
+    def _forced_step(self) -> None:
+        """One run_step on behalf of a caller, unless the step budget is spent."""
         if self.step_limit is not None and self.step >= self.step_limit:
             raise MatcherBudgetError(
                 f"step budget {self.step_limit} exhausted at step {self.step}"
             )
+        self.run_step()
+
+    def advance_to_step(self, n: int) -> None:
+        while self.step < n:
+            self._forced_step()
 
     # -- the match function ------------------------------------------------
 
@@ -279,8 +286,7 @@ class HaremMatcher:
         while self.owner_of(n) == 0:
             if self.step > n:
                 raise RuntimeError(f"progress bound broken: b_{n} unmatched after step {self.step}")
-            self._spend()
-            self.run_step()
+            self._forced_step()
         return self._owner[n]
 
     def preimages(self, a: int) -> tuple[int, ...]:
@@ -290,8 +296,7 @@ class HaremMatcher:
         while not self.a_removed(a):
             if self.step > a:
                 raise RuntimeError(f"progress bound broken: a_{a} live after step {self.step}")
-            self._spend()
-            self.run_step()
+            self._forced_step()
         return self.partners_of(a)
 
     # -- checkpointing ------------------------------------------------------
@@ -325,20 +330,30 @@ class HaremMatcher:
         check: bool = False,
     ) -> "HaremMatcher":
         m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
+        step = checkpoint["step"]
+        if not isinstance(step, int) or step < 0:
+            raise ValueError(f"corrupt checkpoint: step {step!r} is not a non-negative integer")
         grouped: dict[int, list[int]] = {}
         for a, b in checkpoint["committed"]:
             grouped.setdefault(a, []).append(b)
+        removed_a = sorted(grouped)
+        if removed_a != list(checkpoint["removed_a"]):
+            raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
+        removed_b = sorted(b for bs in grouped.values() for b in bs)
+        if removed_b != list(checkpoint["removed_b"]):
+            raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
+        # Numbers below 1 are refused before anything is committed: the state
+        # arrays are indexed by number, where slot 0 is no vertex and a negative
+        # index counts from the far end. Sorted lists start with their least.
+        fans = [(fan["root"], tuple(fan["leaves"])) for fan in checkpoint["fans"]]
+        least = removed_a[:1] + removed_b[:1] + [min((root,) + leaves) for root, leaves in fans]
+        if least and min(least) < 1:
+            raise ValueError(f"corrupt checkpoint: vertex number {min(least)} is below 1")
         for a, bs in grouped.items():
             if len(bs) != m.d - 1:
                 raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
             m._commit(a, tuple(bs))
-        if sorted(grouped) != list(checkpoint["removed_a"]):
-            raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
-        want_b = sorted(b for bs in grouped.values() for b in bs)
-        if want_b != list(checkpoint["removed_b"]):
-            raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
-        for fan in checkpoint["fans"]:
-            root, leaves = fan["root"], tuple(fan["leaves"])
+        for root, leaves in fans:
             if m.a_removed(root) or root in m._fans:
                 raise ValueError(f"corrupt checkpoint: fan root {root} is retired or repeated")
             if len(set(leaves)) != m.d - 1:
@@ -347,10 +362,8 @@ class HaremMatcher:
             for b in leaves:
                 if m.b_removed(b) or b in m._leaf_root:
                     raise ValueError(f"corrupt checkpoint: fan leaf {b} is committed or shared")
-            m._fans[root] = leaves
-            for b in leaves:
-                m._leaf_root[b] = root
-        m.step = checkpoint["step"]
+            m._reserve_fan(root, leaves)
+        m.step = step
         while m.a_removed(m._cursor):
             m._cursor += 1
         return m

@@ -19,7 +19,6 @@ freely.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .forest import ForestFunction
@@ -170,20 +169,3 @@ def verify_free_semiregular(pair: WobblingPair, word_len: int, upto: int) -> Wob
                     report.violations.append(
                         f"reduced word {''.join(word)} fixes {n}")
     return report
-
-
-def wobble_to_json(pair: WobblingPair, upto: int) -> str:
-    payload = {
-        str(n): list(pair.labeling.directions(n)) for n in range(1, upto + 1)
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def wobble_to_dot(pair: WobblingPair, upto: int) -> str:
-    lines = ["digraph wobbling {"]
-    for n in range(1, upto + 1):
-        lines.append(f'  "{n}" -> "{pair.alpha(n)}" [label="a"];')
-    for n in range(1, upto + 1):
-        lines.append(f'  "{n}" -> "{pair.beta(n)}" [label="b"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

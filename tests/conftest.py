@@ -4,7 +4,8 @@ The oracle builds breadth-first adjacency for a regular tree with a plain
 queue, so the arithmetic vertex numbering in the package can be checked
 against code that cannot share its bugs. The t6k3 host is the product of
 the degree-6 tree with a triangle: unlike every tree host, it makes the
-matcher reserve and consume fans.
+matcher reserve and consume fans. cli_artifact runs one command of the CLI
+and reads back a file it wrote.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 
 import pytest
 
-from hallforest import SymmetricDoubleGraph, TreeEntourage, double_graph
+from hallforest import SymmetricDoubleGraph, TreeEntourage, cli, double_graph
 
 
 def bfs_tree_adjacency(r: int, max_vertex: int) -> dict[int, list[int]]:
@@ -77,3 +78,15 @@ def host_of(request):
         return host if isinstance(host, SymmetricDoubleGraph) else double_graph(host)
 
     return lookup
+
+
+@pytest.fixture()
+def cli_artifact(tmp_path):
+    """Run one command of the CLI on a regular tree; return a file it wrote."""
+    def run(r: int, argv: list, name: str) -> str:
+        assert cli.main(["gen-tree", "--r", str(r), "--out", str(tmp_path)]) == 0
+        space, out = str(tmp_path / "descriptor.json"), str(tmp_path / "out")
+        assert cli.main([str(a) for a in argv] + ["--space", space, "--out", out]) == 0
+        return (tmp_path / "out" / name).read_text()
+
+    return run

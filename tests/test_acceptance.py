@@ -168,7 +168,7 @@ def test_acceptance_5_same_tree():
         for _ in range(3 * n + 2):
             union(x, forest.f(x))
             x = forest.f(x)
-    root_of = {n: forest.find_root(n).root for n in range(1, 101)}
+    root_of = {n: forest.find_root(n) for n in range(1, 101)}
     for x in range(1, 101):
         assert forest.same_tree(x, x)
         for y in range(x + 1, 101):

@@ -12,8 +12,6 @@ from hallforest import (
     TreeEntourage,
     check_expansion,
     double_graph,
-    forest_to_dot,
-    forest_to_json,
     verify_forest,
 )
 
@@ -40,8 +38,8 @@ def test_tree_entourage_matches_bfs_oracle(tree7):
 def test_tree_entourage_section_pins(tree6):
     assert tree6.section(1) == (1, 2, 3, 4, 5, 6, 7)
     assert tree6.section(2) == (1, 2, 8, 9, 10, 11, 12)
-    assert tree6.member(2, 8) and tree6.member(8, 2)
-    assert not tree6.member(2, 13)
+    assert tree6.related(2, 8) and tree6.related(8, 2)
+    assert not tree6.related(2, 13)
 
 
 def test_tree_entourage_rejects_small_degree():
@@ -52,7 +50,7 @@ def test_tree_entourage_rejects_small_degree():
 def test_explicit_entourage_is_symmetric_and_reflexive():
     ent = ExplicitEntourage([(1, 2), (2, 3)])
     assert ent.section(2) == (1, 2, 3)
-    assert ent.member(3, 2) and ent.member(2, 2)
+    assert ent.related(3, 2) and 2 in ent.section(2)
     assert ent.section(9) == (9,)  # untouched points are isolated loops
 
 
@@ -60,7 +58,7 @@ def test_strip_diagonal(tree6):
     # neighbors and related are the entourage with its diagonal stripped
     ent = ExplicitEntourage([(1, 2), (2, 3)])
     assert ent.neighbors(2) == (1, 3)
-    assert not ent.related(2, 2) and ent.member(2, 2)
+    assert not ent.related(2, 2) and 2 in ent.section(2)
     assert ent.related(2, 1) and not ent.related(1, 3)
     assert tree6.neighbors(2) == (1, 8, 9, 10, 11, 12)
     assert not tree6.related(2, 2) and tree6.related(2, 8) and tree6.related(8, 2)
@@ -130,11 +128,8 @@ def test_find_root_against_plain_walk(forest63):
                 break
             seen[x] = len(seen)
         cycle = [v for v, i in seen.items() if i >= entry]
-        info = forest63.find_root(n)
-        assert info.root == min(cycle)
-        assert info.entry == entry
-        assert info.period == len(cycle)
-        assert info.entry <= 2 * n and info.period <= max(2, n)
+        assert forest63.find_root(n) == min(cycle)
+        assert entry <= 2 * n and len(cycle) <= max(2, n)
 
 
 def test_roots_prefix_pin(forest63):
@@ -285,7 +280,7 @@ def test_parent_and_path_to_root(forest63):
 
 def test_same_tree_is_an_equivalence(forest63):
     f = forest63
-    root_of = {v: f.find_root(v).root for v in range(1, 31)}
+    root_of = {v: f.find_root(v) for v in range(1, 31)}
     for x in range(1, 31):
         assert f.same_tree(x, x)
         assert f.same_tree(x, f.f(x))
@@ -320,20 +315,19 @@ def test_verify_forest_flags_fixed_points(tree6):
     assert any("fixes 5" in v for v in report.violations)
 
 
-# -- serialization ----------------------------------------------------------------
+# -- the forest artifact the CLI writes ------------------------------------------
 
 
-def test_forest_json_shape(forest63):
-    payload = json.loads(forest_to_json(forest63, 12))
+def test_forest_json_shape(cli_artifact):
+    payload = json.loads(cli_artifact(6, ["forest", "--d", 3, "--n", 12], "forest.json"))
     assert set(payload) == {"edges", "roots"}
     assert payload["edges"][:3] == [[1, 13], [2, 1], [3, 1]]
     assert len(payload["edges"]) == 12
     assert payload["roots"] == [1, 4, 5, 6, 7, 9, 10, 11, 12]
-    assert forest_to_json(forest63, 12) == forest_to_json(forest63, 12)
 
 
-def test_forest_dot_shape(forest63):
-    dot = forest_to_dot(forest63, 8)
+def test_forest_dot_shape(cli_artifact):
+    dot = cli_artifact(6, ["forest", "--d", 3, "--n", 8, "--format", "dot"], "forest.dot")
     assert dot.startswith("digraph")
     assert '"1" [shape=doublecircle];' in dot
     assert '"1" -> "13";' in dot

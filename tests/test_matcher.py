@@ -215,6 +215,17 @@ def test_restore_rejects_corrupt_checkpoints(tree6, t6k3):
     broken = dict(cp, committed=cp["committed"][1:])
     with pytest.raises(ValueError):
         HaremMatcher.restore(double_graph(tree6), HallWitness.identity(), broken)
+    # numbers below 1 index the state arrays from the wrong end, and a
+    # negative step count is no step count
+    empty = {"d": 4, "step": 1, "committed": [], "removed_a": [], "removed_b": [], "fans": []}
+    below_one = [
+        dict(empty, committed=[[1, -1], [1, 2], [1, 3]], removed_a=[1], removed_b=[-1, 2, 3]),
+        dict(empty, committed=[[0, 2], [0, 3], [0, 4]], removed_a=[0], removed_b=[2, 3, 4]),
+        dict(cp, step=-5),
+    ]
+    for bad in below_one:
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            HaremMatcher.restore(double_graph(tree6), HallWitness.identity(), bad)
     # fans: at step 6 on T6xK3 the one live fan is 8 -> (38, 41, 44)
     m = HaremMatcher(t6k3, 4, HallWitness.identity())
     m.advance_to_step(6)
@@ -228,12 +239,40 @@ def test_restore_rejects_corrupt_checkpoints(tree6, t6k3):
         [{"root": 8, "leaves": [38, 38, 41]}],   # a leaf twice
         [{"root": 8, "leaves": [38, 41, 44]}, {"root": 8, "leaves": [47, 50, 53]}],  # root twice
         [{"root": 8, "leaves": [38, 41, 44]}, {"root": 9, "leaves": [44, 50, 53]}],  # leaf shared
+        [{"root": -2, "leaves": [38, 41, 44]}],  # root below 1
+        [{"root": 8, "leaves": [-38, 41, 44]}],  # leaf below 1
     ]
     for fans in bad_fans:
         with pytest.raises(ValueError, match="corrupt checkpoint"):
             HaremMatcher.restore(t6k3, HallWitness.identity(), dict(cp, fans=fans))
     resumed = HaremMatcher.restore(t6k3, HallWitness.identity(), cp)
     assert resumed.checkpoint() == cp
+
+
+def test_close_cycle_consumes_fans_on_its_chain(tree7):
+    """The chain's fan branches, from fans restored at step 0 on tree7, d=4.
+
+    The cursor 1 commits to (2, 3, 4), so the chain starts with target 1. A
+    fan rooted at the tree neighbor 5 of 1, with leaf 1, is consumed by the
+    chain, which goes on with target 5 and center 27, the fan's least other
+    leaf. A second fan rooted at 27 makes the center a fan root: it takes
+    the target plus its two lowest leaves instead of its ball partners.
+    """
+    host = double_graph(tree7)
+    first = {"root": 5, "leaves": [1, 27, 28]}
+    cases = [
+        ([first], (5, 159, 160)),
+        ([first, {"root": 27, "leaves": [160, 161, 162]}], (5, 160, 161)),
+    ]
+    for fans, partners_of_27 in cases:
+        cp = {"d": 4, "step": 0, "committed": [], "removed_a": [], "removed_b": [], "fans": fans}
+        m = HaremMatcher.restore(host, HallWitness.identity(), cp, check=True)
+        m.run_step()
+        assert m.partners_of(1) == (2, 3, 4)
+        assert m.partners_of(5) == (1, 27, 28)
+        assert m.partners_of(27) == partners_of_27
+        assert m.fans() == {}
+        m.advance_to_step(201)  # and the invariant asserts hold from there on
 
 
 def test_two_runs_are_byte_identical(tree6):

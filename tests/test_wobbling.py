@@ -12,8 +12,6 @@ from hallforest import (
     WobblingPair,
     reduced_words,
     verify_free_semiregular,
-    wobble_to_dot,
-    wobble_to_json,
 )
 from hallforest.wobbling import DIRS, INVERSE
 
@@ -148,16 +146,18 @@ def test_verify_free_semiregular_report(pair):
     assert report.points_checked == 16 * 24
 
 
-def test_wobble_json_shape(pair):
-    payload = json.loads(wobble_to_json(pair, 6))
+# -- the wobble artifact the CLI writes ------------------------------------------
+
+
+def test_wobble_json_shape(cli_artifact):
+    payload = json.loads(cli_artifact(7, ["wobble", "--n", 6, "--word-len", 1], "wobble.json"))
     assert set(payload) == {str(n) for n in range(1, 7)}
     assert payload["1"] == [2, 3, 4, 15]
     assert all(len(v) == 4 for v in payload.values())
-    assert wobble_to_json(pair, 6) == wobble_to_json(pair, 6)
 
 
-def test_wobble_dot_shape(pair):
-    dot = wobble_to_dot(pair, 4)
+def test_wobble_dot_shape(cli_artifact):
+    dot = cli_artifact(7, ["wobble", "--n", 4, "--word-len", 1, "--format", "dot"], "wobble.dot")
     assert dot.startswith("digraph")
     assert '"1" -> "2" [label="a"];' in dot
     assert '"1" -> "4" [label="b"];' in dot
