@@ -174,17 +174,25 @@ class ForestFunction:
         return self.matcher.preimages(n)
 
     def is_periodic(self, n: int) -> bool:
-        """Whether n sits on an f-cycle; decidable within max(2, n) steps."""
+        """Whether n sits on an f-cycle; decidable within max(2, n) iterations.
+
+        The walk stops at the orbit's first repeat x. The cycle starts at x,
+        so it holds n exactly when x = n; walking on would only go round it,
+        over settled points, and force no matcher step. A query therefore
+        costs its orbit length, not n. An orbit with no repeat within the
+        bound is not periodic, since cycle control caps periods at max(2, n).
+        """
         hit = self._periodic.get(n)
         if hit is not None:
             return hit
         x = n
-        result = False
+        seen = {n}
         for _ in range(max(2, n)):
             x = self.f(x)
-            if x == n:
-                result = True
+            if x in seen:
                 break
+            seen.add(x)
+        result = x == n
         self._periodic[n] = result
         return result
 

@@ -97,14 +97,15 @@ class HaremMatcher:
                 )
 
     def _grow_owner(self, n: int) -> None:
-        if n >= len(self._owner):
-            self._owner.extend([0] * (max(n + 1, 2 * len(self._owner)) - len(self._owner)))
+        owner = self._owner
+        if n >= len(owner):
+            owner.frombytes(bytes((max(n + 1, 2 * len(owner)) - len(owner)) * owner.itemsize))
 
     def _grow_parts(self, a: int) -> None:
         need = (a + 1) * (self.d - 1)
-        if need > len(self._parts):
-            target = max(need, 2 * len(self._parts))
-            self._parts.extend([0] * (target - len(self._parts)))
+        parts = self._parts
+        if need > len(parts):
+            parts.frombytes(bytes((max(need, 2 * len(parts)) - len(parts)) * parts.itemsize))
 
     def owner_of(self, b: int) -> int:
         """The A-number matched to b_b so far, 0 if not yet matched."""
@@ -329,6 +330,12 @@ class HaremMatcher:
         step_limit: int | None = None,
         check: bool = False,
     ) -> "HaremMatcher":
+        """Rebuild a matcher from checkpoint(); ValueError on a corrupt one.
+
+        Fan leaves are checked against their root's section. Committed pairs
+        are recorded without an adjacency lookup, which would cost one
+        section per retired vertex; check=True asserts their adjacency.
+        """
         m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
         step = checkpoint["step"]
         if not isinstance(step, int) or step < 0:
@@ -359,9 +366,12 @@ class HaremMatcher:
             if len(set(leaves)) != m.d - 1:
                 raise ValueError(f"corrupt checkpoint: fan of {root} holds {len(set(leaves))} "
                                  f"distinct leaves, not {m.d - 1}")
+            section = graph.neighbors_a(root)
             for b in leaves:
                 if m.b_removed(b) or b in m._leaf_root:
                     raise ValueError(f"corrupt checkpoint: fan leaf {b} is committed or shared")
+                if b not in section:
+                    raise ValueError(f"corrupt checkpoint: fan leaf {b} is no neighbor of {root}")
             m._reserve_fan(root, leaves)
         m.step = step
         while m.a_removed(m._cursor):

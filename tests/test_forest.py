@@ -100,6 +100,44 @@ def test_periodicity_and_transient_preimages(forest63):
     assert f.least_transient_preimage(8) == 38
 
 
+def test_is_periodic_against_bounded_walk(tree7):
+    """The first-repeat walk agrees with the plain max(2, n) walk and forces
+    the same matcher steps, on cold tree7 d=4 forests."""
+    fast, plain = ForestFunction(tree7, 4), ForestFunction(tree7, 4)
+
+    def bounded_walk(n):
+        x = n
+        for _ in range(max(2, n)):
+            x = plain.f(x)
+            if x == n:
+                return True
+        return False
+
+    verdicts = []
+    for forest, decide in ((fast, fast.is_periodic), (plain, bounded_walk)):
+        queries = list(range(1, 301))
+        queries += [p for a in range(1, 101) for p in forest.f_preimages(a)]
+        verdicts.append([decide(n) for n in queries])
+    assert len(verdicts[0]) == 600
+    assert verdicts[0] == verdicts[1]
+    assert sum(verdicts[0]) == 242
+    assert fast.matcher.step == plain.matcher.step == 273
+
+
+def test_is_periodic_costs_the_orbit_not_n(tree7):
+    forest = ForestFunction(tree7, 4)
+    calls = []
+    f = forest.f
+    forest.f = lambda x: calls.append(x) or f(x)
+    assert not forest.is_periodic(3111)
+    orbit, x = [3111], f(3111)
+    while x not in orbit:
+        orbit.append(x)
+        x = f(x)
+    # one f call per orbit point up to the first repeat, against max(2, n)
+    assert len(calls) <= len(orbit) + 1
+
+
 def test_classification_pins(forest63):
     f = forest63
     assert f.classify(1).kind == "root"

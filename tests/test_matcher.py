@@ -208,7 +208,7 @@ def test_restore_resumes_bit_exact(tree6):
     assert resumed.checkpoint_json() == straight.checkpoint_json()
 
 
-def test_restore_rejects_corrupt_checkpoints(tree6, t6k3):
+def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
     m = fresh(tree6, 4)
     m.advance_to_step(10)
     cp = m.checkpoint()
@@ -247,6 +247,19 @@ def test_restore_rejects_corrupt_checkpoints(tree6, t6k3):
             HaremMatcher.restore(t6k3, HallWitness.identity(), dict(cp, fans=fans))
     resumed = HaremMatcher.restore(t6k3, HallWitness.identity(), cp)
     assert resumed.checkpoint() == cp
+    # a fan leaf that is no host edge of its root would later be committed
+    # to it: on tree7 the section of 2 is (1, 9, ..., 14)
+    host = double_graph(tree7)
+    empty = dict(empty, step=0)
+    with pytest.raises(ValueError, match="corrupt checkpoint"):
+        HaremMatcher.restore(host, HallWitness.identity(),
+                             dict(empty, fans=[{"root": 2, "leaves": [900, 901, 902]}]))
+    # committed pairs are not looked up on restore; the invariant mode refuses
+    # a non-edge as it commits it
+    non_edges = dict(empty, committed=[[1, 500], [1, 501], [1, 502]],
+                     removed_a=[1], removed_b=[500, 501, 502])
+    with pytest.raises(AssertionError):
+        HaremMatcher.restore(host, HallWitness.identity(), non_edges, check=True)
 
 
 def test_close_cycle_consumes_fans_on_its_chain(tree7):
