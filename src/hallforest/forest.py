@@ -153,13 +153,12 @@ class ForestFunction:
         self,
         entourage: Entourage,
         d: int,
-        h: HallWitness | None = None,
         step_limit: int | None = None,
     ):
         self.entourage = entourage
         self.d = d
         self.matcher = HaremMatcher(
-            double_graph(entourage), d, h or HallWitness.identity(), step_limit=step_limit)
+            double_graph(entourage), d, HallWitness.identity(), step_limit=step_limit)
         self._periodic: dict[int, bool] = {}
         self._ltp: dict[int, int] = {}
         self._class: dict[int, Classification] = {}
@@ -299,6 +298,19 @@ class ForestFunction:
         if hit is None:
             hit = self._star[x] = self.f_star_path(x)[-1]
         return hit
+
+    def steps_to(self, x: int, y: int) -> bool:
+        """Whether f*(x) == y, without evaluating a climb that cannot land on y.
+
+        Climb lemma: a climbing point (a root, or a root-ray point at even
+        height h) steps to the root-ray point two heights up, at h + 2. So
+        the climb, which settles partners a tree level beyond x, only runs
+        when y is classified there.
+        """
+        here = self.classify(x)
+        if here.climbs and self.classify(y) != Classification("root_ray", here.height + 2, here.root):
+            return False
+        return self.f_star(x) == y
 
     def f_star_preimages(self, x: int) -> tuple[int, ...]:
         """All u with f*(u) = x; exactly d - 1 of them.

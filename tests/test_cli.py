@@ -125,6 +125,12 @@ PINNED_RUNS = {
         "checkpoint.json": "150d0bef255cfcc70ed4d759f9a1fa8b7368ac2248516815cbe3e4284f839964",
         "report.json": "a1c6a0241b87147eba17d66d7ecf4900abb8bc87158bce5861b2d93134088132",
     }),
+    # word length 5 forces no step beyond word length 2: the same checkpoint
+    # as the verify_tree7 benchmark gate
+    "verify_wl5": (7, ["verify", "--d", 4, "--n", 40, "--word-len", 5], {
+        "checkpoint.json": "b5440f45b348239c226efc3dc50ea110757e87325fefb51e92b5d5ce01b826fe",
+        "report.json": "76c247837e0c9f5452ffed26bb371a41d18966b585a644ae5eaac1006d7aa86e",
+    }),
     "verify_d3": (6, ["verify", "--d", 3, "--n", 12], {
         "checkpoint.json": "362b3eb33b872e1f04ae7bedb9121a312fd4ff962f2ca8ab223db275443342ad",
         "report.json": "9c65c79a2d68490c2d734a023211f942cfd853c4fb6c34b66c1d4183cdc13f7d",

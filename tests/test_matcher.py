@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hallforest
 from hallforest import (
     HallWitness,
     HaremMatcher,
@@ -260,6 +265,21 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
                      removed_a=[1], removed_b=[500, 501, 502])
     with pytest.raises(AssertionError):
         HaremMatcher.restore(host, HallWitness.identity(), non_edges, check=True)
+
+
+def test_check_mode_refuses_non_edges_under_python_O():
+    # python -O strips assert statements; the invariant mode must not go with them
+    script = (
+        "from hallforest import HallWitness, HaremMatcher, TreeEntourage, double_graph\n"
+        "cp = {'d': 4, 'step': 1, 'committed': [[1, 500], [1, 501], [1, 502]],\n"
+        "      'removed_a': [1], 'removed_b': [500, 501, 502], 'fans': []}\n"
+        "m = HaremMatcher.restore(double_graph(TreeEntourage(7)), HallWitness.identity(), cp, check=True)\n"
+        "print(m.partners_of(1))\n")
+    src = str(Path(hallforest.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode != 0, run.stdout
+    assert "AssertionError" in run.stderr and "breaks the matching invariants" in run.stderr
 
 
 def test_close_cycle_consumes_fans_on_its_chain(tree7):

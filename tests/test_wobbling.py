@@ -146,6 +146,30 @@ def test_verify_free_semiregular_report(pair):
     assert report.points_checked == 16 * 24
 
 
+def test_verify_reaches_word_length_five_at_word_length_two_cost(tree7):
+    # the split decider reads labels one move out, as the local checks do,
+    # so length 5 forces the 4,653 steps that length 2 forces
+    forest = ForestFunction(tree7, 4, step_limit=5000)
+    report = verify_free_semiregular(WobblingPair(EdgeLabeling(forest)), 5, 24)
+    assert report.ok, report.violations
+    assert report.words_checked == 484
+    assert report.points_checked == 484 * 24
+    assert forest.matcher.step == 4653
+
+
+def test_fixes_agrees_with_the_plain_split_at_length_six(tree7):
+    # above length 5 the decider keeps its split; checked against u^-1(n)
+    # and (m.v)(n) read without the forest shortcut, at point 1
+    pair = WobblingPair(EdgeLabeling(ForestFunction(tree7, 4)))
+    words = reduced_words(6)
+    assert len(words) == 972
+    for word in words:
+        undo_u = tuple(INVERSE[t] for t in reversed(word[:3]))
+        plain = pair.apply_word(word[3:], 1) == pair.apply_word(undo_u, 1)
+        fixed = pair.fixes(word, 1)
+        assert fixed == plain and not fixed, word
+
+
 # -- the wobble artifact the CLI writes ------------------------------------------
 
 
