@@ -5,10 +5,11 @@ enumeration, whether a finite bipartite piece can support a perfect (1,k)-
 matching, returning a violating subset when it cannot. brute_force_matching
 finds the lexicographically least perfect (1,k)-matching outright; it exists
 exactly when the harem condition holds, which makes the two functions
-independent oracles for one another. boundary_relaxed_matching is the
-workhorse used on balls during the incremental construction: every A-vertex
+independent oracles for one another. solve_relaxed is the workhorse the
+matcher runs on every ball of the incremental construction: every A-vertex
 gets exactly d partners, interior B-vertices get exactly one, and B-vertices
-on the cut boundary get at most one.
+on the cut boundary get at most one. boundary_relaxed_matching runs the same
+solver on a FiniteInducedSubgraph.
 
 The relaxed solver follows a fixed deterministic schedule (ascending orders
 everywhere, augmenting repairs when a greedy placement saturates) so that
@@ -217,33 +218,47 @@ class InfeasibleMatchingError(RuntimeError):
 
 def solve_relaxed(
     a_order: Sequence[int],
-    nbrs_of_a: dict[int, Sequence[int]],
-    interior_b: Iterable[int],
+    section: Callable[[int], Sequence[int]],
+    nbrs_of_b: dict[int, Sequence[int]],
+    live_b: Callable[[int], bool],
     d: int,
 ) -> dict[int, list[int]]:
-    """Deterministic core of the boundary-relaxed matching.
+    """Deterministic core of the boundary-relaxed matching, one pass per ball.
 
-    Contract: every a in a_order ends with exactly d partners drawn from
-    nbrs_of_a[a]; every b in interior_b ends with exactly one owner; any
-    other mentioned b ends with at most one. Interior B-vertices are placed
-    first in ascending order, then A-vertices are filled to d in ascending
-    order; both phases repair saturation with an ascending alternating-path
-    search and raise InfeasibleMatchingError (with the blocking cut) when no
-    repair exists.
+    Inputs: a_order lists the A-vertices, ascending. An A-vertex a may take
+    the B-vertices of its host section section(a) (ascending) that live_b
+    accepts: its usable section. The keys of nbrs_of_b are the interior
+    B-vertices, and nbrs_of_b[b] lists, ascending, the A-vertices of a_order
+    whose usable section holds b.
 
-    Returns {a: sorted partner list}. Inputs must be ascending.
+    Contract: every a in a_order ends with exactly d partners drawn from its
+    usable section; every interior b ends with exactly one owner; any other
+    b ends with at most one. Interior B-vertices are placed first in
+    ascending order, then A-vertices are filled to d in ascending order;
+    both phases repair saturation with an ascending alternating-path search
+    and raise InfeasibleMatchingError (with the blocking cut) when no repair
+    exists.
+
+    Sections are read lazily. Phase 1 reads none: it places interior b
+    through nbrs_of_b, and place() recurses only into b already placed,
+    which are interior too. Phase 2 reads section(a) only when a still
+    lacks partners on its turn, tests liveness inline and stops at d. A
+    usable section is built as a list only when grab() walks it.
+
+    Why a ball may pass A-sections as nbrs_of_b: the host is symmetric (a_x
+    ~ b_y exactly when a_y ~ b_x), which the ball build already relies on
+    when it reads an interior b's A-neighbours through neighbors_a(b). So b
+    lies in section(a) exactly when a lies in section(b); b is live, being
+    interior; and a_order holds only live A-vertices, among them every live
+    A-neighbour of the interior. Hence the live A-section of b lists exactly
+    the a in a_order whose usable section holds b, which is what inverting
+    every usable section over a_order gives.
+
+    Returns {a: sorted partner list}.
     """
     owner: dict[int, int] = {}
     parts: dict[int, list[int]] = {a: [] for a in a_order}
-    interior = sorted(interior_b)
-    # Only interior b need their A-side lists: phase 1 places interior b and
-    # place() recurses only into b already placed, which are interior too.
-    nbrs_of_b: dict[int, list[int]] = {b: [] for b in interior}
-    for a in a_order:
-        for b in nbrs_of_a[a]:
-            nbs = nbrs_of_b.get(b)
-            if nbs is not None:
-                nbs.append(a)
+    usable: dict[int, list[int]] = {}
 
     def place(b: int, visited: set[int]) -> bool:
         nbs = nbrs_of_b[b]
@@ -267,13 +282,16 @@ def solve_relaxed(
         return False
 
     def grab(a: int, visited: set[int]) -> bool:
-        for b in nbrs_of_a[a]:
+        nbs = usable.get(a)
+        if nbs is None:
+            nbs = usable[a] = [b for b in section(a) if live_b(b)]
+        for b in nbs:
             if b not in owner and b not in visited:
                 visited.add(b)
                 owner[b] = a
                 parts[a].append(b)
                 return True
-        for b in nbrs_of_a[a]:
+        for b in nbs:
             if b in visited or owner[b] == a:
                 continue
             visited.add(b)
@@ -292,7 +310,7 @@ def solve_relaxed(
     # an empty visited set (first neighbour with room, first unowned
     # neighbour) and calls them only where that step finds nothing, so the
     # result is the one the repairs alone would give.
-    for b in interior:
+    for b in sorted(nbrs_of_b):
         for a in nbrs_of_b[b]:
             mine = parts[a]
             if len(mine) < d:
@@ -310,13 +328,14 @@ def solve_relaxed(
                 )
     for a in a_order:
         mine = parts[a]
-        if len(mine) < d:
-            for b in nbrs_of_a[a]:
-                if b not in owner:
-                    owner[b] = a
-                    mine.append(b)
-                    if len(mine) == d:
-                        break
+        if len(mine) == d:
+            continue
+        for b in section(a):
+            if b not in owner and live_b(b):
+                owner[b] = a
+                mine.append(b)
+                if len(mine) == d:
+                    break
         while len(mine) < d:
             seen = set()
             if not grab(a, seen):
@@ -341,9 +360,10 @@ def boundary_relaxed_matching(sub: FiniteInducedSubgraph, d: int) -> Matching:
     if d < 1:
         raise ValueError("d must be positive")
     nbrs_of_a: dict[int, list[int]] = {a: [] for a in sub.a_vertices}
-    for a, b in sub.edges:
+    nbrs_of_b: dict[int, list[int]] = {b: [] for b in sub.interior_b()}
+    for a, b in sorted(sub.edges):  # so every list comes out ascending
         nbrs_of_a[a].append(b)
-    for a in sub.a_vertices:
-        nbrs_of_a[a].sort()
-    parts = solve_relaxed(sub.a_vertices, nbrs_of_a, sub.interior_b(), d)
+        if b in nbrs_of_b:
+            nbrs_of_b[b].append(a)
+    parts = solve_relaxed(sub.a_vertices, nbrs_of_a.__getitem__, nbrs_of_b, lambda b: True, d)
     return Matching((a, b) for a, bs in parts.items() for b in bs)

@@ -174,25 +174,27 @@ class HaremMatcher:
         The ball lives in the current remaining host minus all fan roots and
         fan leaves; the center is not a fan root. Its interior B-vertices
         are the center's live section, its A-vertices the live sections of
-        those. Returns the sorted partners of each ball A-vertex. Liveness
-        is read straight from the state arrays; nothing here mutates them.
+        those. Only these sections are read here; they go to solve_relaxed
+        as the interior's A-lists, and it reads the other sections only as
+        far as it needs them. Returns the sorted partners of each ball
+        A-vertex. Liveness is read straight from the state arrays; nothing
+        here mutates them.
         """
         section = self.graph.neighbors_a
         owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
         n_owner, n_parts, d1 = len(owner), len(parts), self.d - 1
-        interior = [b for b in section(center)
-                    if (b >= n_owner or not owner[b]) and b not in leaf_root]
+
+        def live_b(b: int) -> bool:
+            return (b >= n_owner or not owner[b]) and b not in leaf_root
+
         a_seen = {center}
-        for b in interior:
-            for a in section(b):
-                if a not in a_seen and (a * d1 >= n_parts or not parts[a * d1]) \
-                        and a not in fans:
-                    a_seen.add(a)
-        a_order = sorted(a_seen)
-        nbrs = {a: [b for b in section(a)
-                    if (b >= n_owner or not owner[b]) and b not in leaf_root]
-                for a in a_order}
-        return solve_relaxed(a_order, nbrs, interior, self.d)
+        nbrs_of_b = {}
+        for b in section(center):
+            if live_b(b):
+                nbs = nbrs_of_b[b] = [a for a in section(b) if (
+                    a * d1 >= n_parts or not parts[a * d1]) and a not in fans]
+                a_seen.update(nbs)
+        return solve_relaxed(sorted(a_seen), section, nbrs_of_b, live_b, self.d)
 
     # -- stepping ---------------------------------------------------------
 
@@ -243,8 +245,8 @@ class HaremMatcher:
                 self._commit(center, tuple(sorted((target,) + leaves[:d - 2])))
                 return
             parts = self._ball_parts(center)
-            owner = {b: a for a, bs in parts.items() for b in bs}
-            holder = owner[target]  # target sits one edge from the center
+            # target sits one edge from the center, so it is interior: one owner
+            holder = next(a for a, bs in parts.items() if target in bs)
             mine = parts[center]
             if holder == center:
                 # The ball matching already pairs center with target: keep

@@ -59,7 +59,8 @@ def test_tracer_reports_every_declared_layer_metric(tmp_path):
         tracer.uninstall()
     metrics = tracer.layer_metrics(0)
     assert set(declared) <= set(metrics)
-    for name in ("graph.section_calls", "hall.solve_calls", "matcher.steps", "matcher.restore_s",
+    for name in ("graph.section_calls", "hall.solve_calls", "hall.ball_a_mean", "hall.ball_b_mean",
+                 "matcher.steps", "matcher.restore_s",
                  "forest.calls", "forest.forced_steps", "wobbling.directions_calls",
                  "wobbling.pairs", "verify.steps.cycle_control"):
         assert metrics[name] > 0, name

@@ -220,14 +220,28 @@ def test_matching_dot_marks_matched_edges(cli_artifact):
 # -- relaxed solving ---------------------------------------------------------------
 
 
+def relaxed_call(a_order, nbrs, interior, d):
+    """solve_relaxed's arguments for the instance (a_order, nbrs, interior, d).
+
+    nbrs gives each A-vertex's usable B-list. Its host section weaves in
+    every number from 0 up to its largest entry that no list mentions, and
+    the liveness test rejects exactly those, so the solver has to skip them.
+    """
+    mentioned = {b for bs in nbrs.values() for b in bs}
+    sections = {a: sorted(set(bs) | {x for x in range(max(bs, default=0)) if x not in mentioned})
+                for a, bs in nbrs.items()}
+    nbrs_of_b = {b: [a for a in a_order if b in nbrs[a]] for b in sorted(interior)}
+    return a_order, sections.__getitem__, nbrs_of_b, mentioned.__contains__, d
+
+
 def test_solve_relaxed_star_takes_everything():
-    parts = solve_relaxed([1], {1: [1, 2, 3]}, [1, 2, 3], 3)
+    parts = solve_relaxed(*relaxed_call([1], {1: [1, 2, 3]}, [1, 2, 3], 3))
     assert parts == {1: [1, 2, 3]}
 
 
 def test_solve_relaxed_reports_trapped_interior():
     with pytest.raises(InfeasibleMatchingError) as exc:
-        solve_relaxed([1], {1: [1, 2, 3, 4]}, [1, 2, 3, 4], 3)
+        solve_relaxed(*relaxed_call([1], {1: [1, 2, 3, 4]}, [1, 2, 3, 4], 3))
     err = exc.value
     assert err.side == "B"
     assert err.stuck == 4
@@ -239,7 +253,7 @@ def test_solve_relaxed_reports_trapped_interior():
 def test_solve_relaxed_reports_starved_a_side():
     nbrs = {1: [1, 2, 3, 4], 2: [1, 2, 3, 4]}
     with pytest.raises(InfeasibleMatchingError) as exc:
-        solve_relaxed([1, 2], nbrs, [1, 2, 3, 4], 3)
+        solve_relaxed(*relaxed_call([1, 2], nbrs, [1, 2, 3, 4], 3))
     err = exc.value
     assert err.side == "A"
     assert set(err.a_set) == {1, 2}
@@ -269,7 +283,7 @@ def test_solve_relaxed_agrees_with_flow_oracle():
         a_order, nbrs, interior, d = random_relaxed_instance(rng)
         expected = relaxed_feasible(a_order, nbrs, interior, d)
         try:
-            parts = solve_relaxed(a_order, nbrs, interior, d)
+            parts = solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
         except InfeasibleMatchingError:
             assert not expected
             infeasible += 1
@@ -285,10 +299,10 @@ def test_solve_relaxed_is_deterministic():
     for _ in range(40):
         a_order, nbrs, interior, d = random_relaxed_instance(rng)
         try:
-            first = solve_relaxed(a_order, nbrs, interior, d)
+            first = solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
         except InfeasibleMatchingError:
             continue
-        assert first == solve_relaxed(a_order, nbrs, interior, d)
+        assert first == solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
 
 
 def test_boundary_relaxed_matching_on_tree_ball(tree6):

@@ -15,8 +15,10 @@ import hallforest
 from hallforest import (
     HallWitness,
     HaremMatcher,
+    InfeasibleMatchingError,
     MatcherBudgetError,
     SymmetricDoubleGraph,
+    TreeEntourage,
     double_graph,
     is_A_reflected,
     verify_cycle_control,
@@ -67,6 +69,42 @@ def test_rejects_low_degree_host():
     ring = SymmetricDoubleGraph(lambda v: tuple(sorted({(v % 6) + 1, ((v - 2) % 6) + 1})))
     with pytest.raises(ValueError, match="degree"):
         HaremMatcher(ring, 3, HallWitness.identity())
+
+
+def tree3_cycle(m: int) -> SymmetricDoubleGraph:
+    """Bipartite host of T3 x C_m, degree 5.
+
+    The vertex (t, i), with t a tree3 vertex and i in 0..m-1, is the number
+    m(t-1) + i + 1; it is related to (s, i) for every tree neighbor s of t
+    and to (t, i+1) and (t, i-1), mod m.
+    """
+    tree = TreeEntourage(3)
+
+    def section(v: int) -> tuple[int, ...]:
+        t, i = divmod(v - 1, m)
+        layer = {m * (s - 1) + i + 1 for s in tree.neighbors(t + 1)}
+        fiber = {m * t + (i + j) % m + 1 for j in (1, -1)}
+        return tuple(sorted(layer | fiber))
+
+    return SymmetricDoubleGraph(section)
+
+
+@pytest.mark.parametrize("m, d, stuck, a_set, b_set, message", [
+    (4, 4, 6, (1, 3, 6), (2, 4, 5, 7),
+     "A-vertex 6 cannot reach 4 partners: A-side [1, 3, 6] confined to B-side [2, 4, 5, 7]"),
+    (3, 3, 9, (1, 2, 3, 5, 6, 8, 9), tuple(range(1, 10)),
+     "A-vertex 9 cannot reach 3 partners: A-side [1, 2, 3, 5, 6, 8, 9] "
+     "confined to B-side [1, 2, 3, 4, 5, 6, 7, 8, 9]"),
+])
+def test_under_expanding_host_fails_with_the_balls_cut(m, d, stuck, a_set, b_set, message):
+    # degree 5 clears the singleton check, but {t, t'} x C_m has too few
+    # neighbors for d partners each, and the first ball already runs into it
+    matcher = HaremMatcher(tree3_cycle(m), d, HallWitness.identity())
+    with pytest.raises(InfeasibleMatchingError) as exc:
+        matcher.run_step()
+    err = exc.value
+    assert (err.side, err.stuck, err.a_set, err.b_set, str(err)) == ("A", stuck, a_set, b_set, message)
+    assert matcher.step == 0
 
 
 # -- the anchor 2-cycle ------------------------------------------------------------

@@ -3,7 +3,11 @@
 solve_relaxed runs a greedy pass before its augmenting repairs. That pass
 must change nothing: on every instance it has to return the partners, or
 raise the certificate, that the repairs alone gave. reference_solve_relaxed
-is the solver as it was before the greedy pass, kept verbatim.
+is the solver as it was before the greedy pass, kept verbatim, with its
+input shape of that time: every A-vertex's usable B-list and the interior.
+Each call of solve_relaxed is translated into those inputs: on random
+instances by test_hall.relaxed_call, on matcher balls by filtering each
+host section with the matcher's liveness test at call time.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from hallforest import (
     InfeasibleMatchingError,
     solve_relaxed,
 )
-from test_hall import random_relaxed_instance
+from test_hall import random_relaxed_instance, relaxed_call
 
 
 def reference_solve_relaxed(
@@ -116,7 +120,7 @@ def test_greedy_first_agrees_on_random_instances():
     kinds = {"matched": 0, "infeasible": 0}
     for _ in range(400):
         args = random_relaxed_instance(rng)
-        got = outcome(solve_relaxed, *args)
+        got = outcome(solve_relaxed, *relaxed_call(*args))
         assert got == outcome(reference_solve_relaxed, *args), args
         kinds[got[0]] += 1
     assert kinds["matched"] > 30 and kinds["infeasible"] > 30
@@ -130,11 +134,13 @@ def test_greedy_first_agrees_on_random_instances():
 def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, steps):
     balls = []
 
-    def both(*args):
-        got = outcome(solve_relaxed, *args)
+    def both(a_order, section, nbrs_of_b, live_b, d):
+        got = outcome(solve_relaxed, a_order, section, nbrs_of_b, live_b, d)
+        nbrs_of_a = {a: [b for b in section(a) if live_b(b)] for a in a_order}
+        args = a_order, nbrs_of_a, list(nbrs_of_b), d
         assert got == outcome(reference_solve_relaxed, *args), args
         assert got[0] == "matched"
-        balls.append(len(args[0]))
+        balls.append(len(a_order))
         return got[1]
 
     monkeypatch.setattr(hallforest.matcher, "solve_relaxed", both)
