@@ -7,24 +7,8 @@ cycles, and the leftovers assemble into d-regular forests and pairs of
 bounded-displacement permutations acting freely.
 """
 
-from .graph import (
-    BipartiteGraph,
-    ExplicitBipartiteGraph,
-    FiniteInducedSubgraph,
-    SymmetricDoubleGraph,
-    ball,
-    is_A_reflected,
-)
-from .hall import (
-    HallWitness,
-    HaremCheck,
-    InfeasibleMatchingError,
-    Matching,
-    boundary_relaxed_matching,
-    brute_force_matching,
-    check_harem_condition,
-    solve_relaxed,
-)
+from .graph import SymmetricDoubleGraph, is_A_reflected
+from .hall import HallWitness, InfeasibleMatchingError, solve_relaxed
 from .matcher import (
     HaremMatcher,
     MatcherBudgetError,
@@ -32,7 +16,6 @@ from .matcher import (
 )
 from .forest import (
     Entourage,
-    ExplicitEntourage,
     ForestFunction,
     TreeEntourage,
     check_expansion,
@@ -49,27 +32,17 @@ from .wobbling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteGraph",
     "EdgeLabeling",
     "Entourage",
-    "ExplicitBipartiteGraph",
-    "ExplicitEntourage",
-    "FiniteInducedSubgraph",
     "ForestFunction",
     "HallWitness",
-    "HaremCheck",
     "HaremMatcher",
     "InfeasibleMatchingError",
     "MatcherBudgetError",
-    "Matching",
     "SymmetricDoubleGraph",
     "TreeEntourage",
     "WobblingPair",
-    "ball",
-    "boundary_relaxed_matching",
-    "brute_force_matching",
     "check_expansion",
-    "check_harem_condition",
     "double_graph",
     "is_A_reflected",
     "reduced_words",

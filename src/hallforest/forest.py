@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
-from .matcher import HaremMatcher
+from .matcher import HaremMatcher, first_repeat
 
 
 class Entourage:
@@ -43,20 +43,6 @@ class Entourage:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """section(v) without v itself, ascending: the diagonal-free section."""
         return tuple(w for w in self.section(v) if w != v)
-
-
-class ExplicitEntourage(Entourage):
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        sections: dict[int, set[int]] = {}
-        for x, y in pairs:
-            sections.setdefault(x, set()).add(y)
-            sections.setdefault(y, set()).add(x)
-        for v in sections:
-            sections[v].add(v)
-        self._sections = {v: tuple(sorted(s)) for v, s in sections.items()}
-
-    def section(self, v: int) -> tuple[int, ...]:
-        return self._sections.get(v, (v,))
 
 
 class TreeEntourage(Entourage):
@@ -184,15 +170,7 @@ class ForestFunction:
         hit = self._periodic.get(n)
         if hit is not None:
             return hit
-        x = n
-        seen = {n}
-        for _ in range(max(2, n)):
-            x = self.f(x)
-            if x in seen:
-                break
-            seen.add(x)
-        result = x == n
-        self._periodic[n] = result
+        result = self._periodic[n] = first_repeat(self.f, n, max(2, n))[1] == 0
         return result
 
     def least_transient_preimage(self, n: int) -> int:
@@ -208,16 +186,16 @@ class ForestFunction:
         return result
 
     def _orbit(self, n: int) -> tuple[list[int], int]:
-        """n's f-orbit up to its first repeat, and the index where the cycle starts."""
-        orbit = [n]
-        index = {n: 0}
-        x = n
-        while True:
-            x = self.f(x)
-            if x in index:
-                return orbit, index[x]
-            index[x] = len(orbit)
-            orbit.append(x)
+        """n's f-orbit up to its first repeat, and the index where the cycle starts.
+
+        Cycle control puts the repeat within 3n + 2 steps (entry within 2n,
+        period at most max(2, n)); an orbit with no repeat there raises
+        rather than looping.
+        """
+        orbit, first = first_repeat(self.f, n, 3 * n + 2)
+        if first is None:
+            raise RuntimeError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
+        return orbit, first
 
     def find_root(self, n: int) -> int:
         """Walk n's f-orbit to its cycle and return the root, the cycle minimum.
@@ -353,18 +331,6 @@ class ForestFunction:
             if p is None:
                 return path
             path.append(p)
-
-    def same_tree(self, x: int, y: int) -> bool:
-        return self.find_root(x) == self.find_root(y)
-
-    def ray_element(self, root: int, which: str, m: int) -> int:
-        """m-th point of a ray by brute ascent; test and inspection helper."""
-        if self.classify(root).kind != "root":
-            raise ValueError(f"{root} is not a root")
-        x = root if which == "root" else self.f(root)
-        for _ in range(m):
-            x = self.least_transient_preimage(x)
-        return x
 
     def roots_up_to(self, n: int) -> tuple[int, ...]:
         return tuple(sorted({self.find_root(v) for v in range(1, n + 1)}))

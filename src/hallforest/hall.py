@@ -1,30 +1,22 @@
-"""Finite Hall machinery: harem checks, brute-force matchings, relaxed solving.
+"""Relaxed matching on a ball: the solver every matcher step runs.
 
-Three layers live here. check_harem_condition decides, by exhaustive subset
-enumeration, whether a finite bipartite piece can support a perfect (1,k)-
-matching, returning a violating subset when it cannot. brute_force_matching
-finds the lexicographically least perfect (1,k)-matching outright; it exists
-exactly when the harem condition holds, which makes the two functions
-independent oracles for one another. solve_relaxed is the workhorse the
-matcher runs on every ball of the incremental construction: every A-vertex
-gets exactly d partners, interior B-vertices get exactly one, and B-vertices
-on the cut boundary get at most one. boundary_relaxed_matching runs the same
-solver on a FiniteInducedSubgraph.
-
-The relaxed solver follows a fixed deterministic schedule (ascending orders
+solve_relaxed is the workhorse the matcher runs on every ball of the
+incremental construction: every A-vertex gets exactly d partners, interior
+B-vertices get exactly one, and B-vertices on the cut boundary get at most
+one. It follows a fixed deterministic schedule (ascending orders
 everywhere, augmenting repairs when a greedy placement saturates) so that
-repeated runs produce identical matchings.
+repeated runs produce identical matchings, and raises
+InfeasibleMatchingError with the blocking cut when the contract cannot be
+met. HallWitness is the host's Hall witness, which the matcher takes.
+
+The finite Hall theory behind it (exhaustive harem checks, brute-force
+(1,k)-matchings) serves only as a test reference, in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-from .graph import FiniteInducedSubgraph
-
-SUBSET_CHECK_CAP = 20
-BRUTE_FORCE_CAP = 14
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -50,153 +42,6 @@ class HallWitness:
     @classmethod
     def identity(cls) -> "HallWitness":
         return cls(lambda n: n)
-
-
-class Matching:
-    """A set of (a, b) pairs in which every b appears at most once."""
-
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        self.pairs: tuple[tuple[int, int], ...] = tuple(sorted((int(a), int(b)) for a, b in pairs))
-        self._b_owner: dict[int, int] = {}
-        self._a_parts: dict[int, list[int]] = {}
-        for a, b in self.pairs:
-            if b in self._b_owner:
-                raise ValueError(f"B-vertex {b} is matched twice")
-            self._b_owner[b] = a
-            self._a_parts.setdefault(a, []).append(b)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self.pairs == other.pairs
-
-    def __repr__(self) -> str:
-        return f"Matching({list(self.pairs)!r})"
-
-    def a_partners(self, a: int) -> tuple[int, ...]:
-        return tuple(self._a_parts.get(a, ()))
-
-    def b_owner(self, b: int) -> int | None:
-        return self._b_owner.get(b)
-
-    def a_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._a_parts))
-
-
-@dataclass(frozen=True)
-class HaremViolation:
-    side: str
-    subset: tuple[int, ...]
-    neighborhood: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HaremCheck:
-    ok: bool
-    k: int
-    violation: HaremViolation | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_harem_condition(sub: FiniteInducedSubgraph, k: int) -> HaremCheck:
-    """Exhaustively test the two-sided counting condition for (1,k)-matchings.
-
-    Requires |N(X)| >= k|X| for every subset X of the A side and
-    k|N(Y)| >= |Y| for every subset Y of the B side. Returns the first
-    violating subset in ascending bitmask order, A side first, so failures
-    are reproducible.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    a_list, b_list = sub.a_vertices, sub.b_vertices
-    if len(a_list) > SUBSET_CHECK_CAP or len(b_list) > SUBSET_CHECK_CAP:
-        raise ValueError(f"side larger than {SUBSET_CHECK_CAP}: refusing exhaustive subset check")
-    b_index = {b: i for i, b in enumerate(b_list)}
-    a_index = {a: i for i, a in enumerate(a_list)}
-    a_mask = [0] * len(a_list)  # neighborhood of each a as a bitmask over b_list
-    b_mask = [0] * len(b_list)
-    for a, b in sub.edges:
-        a_mask[a_index[a]] |= 1 << b_index[b]
-        b_mask[b_index[b]] |= 1 << a_index[a]
-
-    viol = _first_counting_violation(a_mask, len(a_list), lambda nb, sz: nb >= k * sz)
-    if viol is not None:
-        subset, hood = viol
-        return HaremCheck(False, k, HaremViolation(
-            "A",
-            tuple(a_list[i] for i in subset),
-            tuple(b_list[i] for i in hood),
-        ))
-    viol = _first_counting_violation(b_mask, len(b_list), lambda nb, sz: k * nb >= sz)
-    if viol is not None:
-        subset, hood = viol
-        return HaremCheck(False, k, HaremViolation(
-            "B",
-            tuple(b_list[i] for i in subset),
-            tuple(a_list[i] for i in hood),
-        ))
-    return HaremCheck(True, k)
-
-
-def _first_counting_violation(masks: Sequence[int], n: int, good: Callable[[int, int], bool]):
-    # Incremental neighborhood masks: hood[m] = hood[m - lowbit] | mask[lowbit].
-    if n == 0:
-        return None
-    hood = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        hood[m] = hood[m ^ low] | masks[low.bit_length() - 1]
-        if not good(hood[m].bit_count(), m.bit_count()):
-            subset = tuple(i for i in range(n) if m >> i & 1)
-            nb = hood[m]
-            hoodset = tuple(i for i in range(nb.bit_length()) if nb >> i & 1)
-            return subset, hoodset
-    return None
-
-
-def brute_force_matching(sub: FiniteInducedSubgraph, k: int) -> Matching | None:
-    """Lexicographically least perfect (1,k)-matching, or None.
-
-    Perfect means: every A-vertex has exactly k partners and every B-vertex
-    exactly one. B-vertices are assigned in ascending order and each tries
-    its least usable A-neighbor first, with backtracking, so the first
-    complete assignment found is the least one in the induced pair order.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    a_list, b_list = sub.a_vertices, sub.b_vertices
-    if len(a_list) > BRUTE_FORCE_CAP:
-        raise ValueError(f"more than {BRUTE_FORCE_CAP} A-vertices: refusing brute-force search")
-    if len(b_list) != k * len(a_list):
-        return None
-    nbrs_of_b: dict[int, list[int]] = {b: [] for b in b_list}
-    for a, b in sub.edges:
-        nbrs_of_b[b].append(a)
-    for b in b_list:
-        nbrs_of_b[b].sort()
-    capacity = {a: k for a in a_list}
-    chosen: list[tuple[int, int]] = []
-
-    def place(i: int) -> bool:
-        if i == len(b_list):
-            return True
-        b = b_list[i]
-        for a in nbrs_of_b[b]:
-            if capacity[a]:
-                capacity[a] -= 1
-                chosen.append((a, b))
-                if place(i + 1):
-                    return True
-                chosen.pop()
-                capacity[a] += 1
-        return False
-
-    if not place(0):
-        return None
-    return Matching(chosen)
 
 
 class InfeasibleMatchingError(RuntimeError):
@@ -349,21 +194,3 @@ def solve_relaxed(
         parts[a].sort()
     return parts
 
-
-def boundary_relaxed_matching(sub: FiniteInducedSubgraph, d: int) -> Matching:
-    """Match every A-vertex to exactly d partners, relaxing only the boundary.
-
-    Interior B-vertices (those not in sub.boundary) must be used exactly
-    once; boundary B-vertices at most once. Raises InfeasibleMatchingError
-    carrying the violating cut when the contract cannot be met.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    nbrs_of_a: dict[int, list[int]] = {a: [] for a in sub.a_vertices}
-    nbrs_of_b: dict[int, list[int]] = {b: [] for b in sub.interior_b()}
-    for a, b in sorted(sub.edges):  # so every list comes out ascending
-        nbrs_of_a[a].append(b)
-        if b in nbrs_of_b:
-            nbrs_of_b[b].append(a)
-    parts = solve_relaxed(sub.a_vertices, nbrs_of_a.__getitem__, nbrs_of_b, lambda b: True, d)
-    return Matching((a, b) for a, bs in parts.items() for b in bs)

@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import BipartiteGraph
+from .graph import SymmetricDoubleGraph
 from .hall import HallWitness, solve_relaxed
 
 
@@ -50,7 +50,7 @@ class HaremMatcher:
 
     def __init__(
         self,
-        graph: BipartiteGraph,
+        graph: SymmetricDoubleGraph,
         d: int,
         h: HallWitness,
         step_limit: int | None = None,
@@ -325,7 +325,7 @@ class HaremMatcher:
     @classmethod
     def restore(
         cls,
-        graph: BipartiteGraph,
+        graph: SymmetricDoubleGraph,
         h: HallWitness,
         checkpoint: dict,
         step_limit: int | None = None,
@@ -335,49 +335,76 @@ class HaremMatcher:
 
         Fan leaves are checked against their root's section. Committed pairs
         are recorded without an adjacency lookup, which would cost one
-        section per retired vertex; check=True refuses a non-edge.
+        section per retired vertex; check=True refuses a non-edge. No value
+        is type-checked either: a missing key or a value of the wrong type
+        fails on its way in with KeyError or TypeError, and that failure is
+        the ValueError's cause.
         """
-        m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
-        step = checkpoint["step"]
-        if not isinstance(step, int) or step < 0:
-            raise ValueError(f"corrupt checkpoint: step {step!r} is not a non-negative integer")
-        grouped: dict[int, list[int]] = {}
-        for a, b in checkpoint["committed"]:
-            grouped.setdefault(a, []).append(b)
-        removed_a = sorted(grouped)
-        if removed_a != list(checkpoint["removed_a"]):
-            raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
-        removed_b = sorted(b for bs in grouped.values() for b in bs)
-        if removed_b != list(checkpoint["removed_b"]):
-            raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
-        # Numbers below 1 are refused before anything is committed: the state
-        # arrays are indexed by number, where slot 0 is no vertex and a negative
-        # index counts from the far end. Sorted lists start with their least.
-        fans = [(fan["root"], tuple(fan["leaves"])) for fan in checkpoint["fans"]]
-        least = removed_a[:1] + removed_b[:1] + [min((root,) + leaves) for root, leaves in fans]
-        if least and min(least) < 1:
-            raise ValueError(f"corrupt checkpoint: vertex number {min(least)} is below 1")
-        for a, bs in grouped.items():
-            if len(bs) != m.d - 1:
-                raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
-            m._commit(a, tuple(bs))
-        for root, leaves in fans:
-            if m.a_removed(root) or root in m._fans:
-                raise ValueError(f"corrupt checkpoint: fan root {root} is retired or repeated")
-            if len(set(leaves)) != m.d - 1:
-                raise ValueError(f"corrupt checkpoint: fan of {root} holds {len(set(leaves))} "
-                                 f"distinct leaves, not {m.d - 1}")
-            section = graph.neighbors_a(root)
-            for b in leaves:
-                if m.b_removed(b) or b in m._leaf_root:
-                    raise ValueError(f"corrupt checkpoint: fan leaf {b} is committed or shared")
-                if b not in section:
-                    raise ValueError(f"corrupt checkpoint: fan leaf {b} is no neighbor of {root}")
-            m._reserve_fan(root, leaves)
-        m.step = step
-        while m.a_removed(m._cursor):
-            m._cursor += 1
+        try:
+            m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
+            step = checkpoint["step"]
+            if not isinstance(step, int) or step < 0:
+                raise ValueError(f"corrupt checkpoint: step {step!r} is not a non-negative integer")
+            grouped: dict[int, list[int]] = {}
+            for a, b in checkpoint["committed"]:
+                grouped.setdefault(a, []).append(b)
+            removed_a = sorted(grouped)
+            if removed_a != list(checkpoint["removed_a"]):
+                raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
+            removed_b = sorted(b for bs in grouped.values() for b in bs)
+            if removed_b != list(checkpoint["removed_b"]):
+                raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
+            # Numbers below 1 are refused before anything is committed: the state
+            # arrays are indexed by number, where slot 0 is no vertex and a negative
+            # index counts from the far end. Sorted lists start with their least.
+            fans = [(fan["root"], tuple(fan["leaves"])) for fan in checkpoint["fans"]]
+            least = removed_a[:1] + removed_b[:1] + [min((root,) + leaves) for root, leaves in fans]
+            if least and min(least) < 1:
+                raise ValueError(f"corrupt checkpoint: vertex number {min(least)} is below 1")
+            for a, bs in grouped.items():
+                if len(bs) != m.d - 1:
+                    raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
+                m._commit(a, tuple(bs))
+            for root, leaves in fans:
+                if m.a_removed(root) or root in m._fans:
+                    raise ValueError(f"corrupt checkpoint: fan root {root} is retired or repeated")
+                if len(set(leaves)) != m.d - 1:
+                    raise ValueError(f"corrupt checkpoint: fan of {root} holds {len(set(leaves))} "
+                                     f"distinct leaves, not {m.d - 1}")
+                section = graph.neighbors_a(root)
+                for b in leaves:
+                    if m.b_removed(b) or b in m._leaf_root:
+                        raise ValueError(f"corrupt checkpoint: fan leaf {b} is committed or shared")
+                    if b not in section:
+                        raise ValueError(f"corrupt checkpoint: fan leaf {b} is no neighbor of {root}")
+                m._reserve_fan(root, leaves)
+            m.step = step
+            while m.a_removed(m._cursor):
+                m._cursor += 1
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt checkpoint: {exc!r}") from exc
         return m
+
+
+def first_repeat(f: Callable[[int], int], n: int, limit: int) -> tuple[list[int], int | None]:
+    """n's f-orbit up to its first repeat, and the index where the cycle starts.
+
+    f is called at most limit times, along the orbit in order, so a lazy f
+    settles exactly what the walk reads. The orbit holds distinct points;
+    f of its last point is orbit[first]. first is None when no point
+    repeats within limit calls, and the orbit then holds limit + 1 points.
+    """
+    orbit = [n]
+    index = {n: 0}
+    x = n
+    for _ in range(limit):
+        x = f(x)
+        first = index.get(x)
+        if first is not None:
+            return orbit, first
+        index[x] = len(orbit)
+        orbit.append(x)
+    return orbit, None
 
 
 @dataclass
@@ -386,15 +413,12 @@ class CycleControlReport:
 
     periodic maps each periodic start to its minimal period; transient maps
     each non-periodic start to (k, l) with f^(k+l)(n) = f^k(n), k minimal.
-    sharp_entry notes whether every k stayed at or below 2n - 1 (a tighter
-    bound than asserted; reported, not enforced).
     """
 
     upto: int
     periodic: dict[int, int] = field(default_factory=dict)
     transient: dict[int, tuple[int, int]] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
-    sharp_entry: bool = True
 
     @property
     def ok(self) -> bool:
@@ -409,33 +433,20 @@ def verify_cycle_control(f: Callable[[int], int], upto: int) -> CycleControlRepo
     f^(k+l)(n) with k <= 2n and l <= n.
     """
     report = CycleControlReport(upto=upto)
-    fn = f
     for n in range(2, upto + 1):
-        seen = {n: 0}
-        x = n
-        hit = None
-        for i in range(1, 3 * n + 3):
-            x = fn(x)
-            if x in seen:
-                hit = (seen[x], i)
-                break
-            seen[x] = i
-        if hit is None:
+        orbit, k = first_repeat(f, n, 3 * n + 2)
+        if k is None:
             report.violations.append(f"orbit of {n} shows no repeat within {3 * n + 2} iterations")
             continue
-        first, again = hit
-        if first == 0:
-            period = again
-            report.periodic[n] = period
-            if period > max(2, n):
-                report.violations.append(f"vertex {n} is periodic with period {period} > {max(2, n)}")
+        loop = len(orbit) - k
+        if k == 0:
+            report.periodic[n] = loop
+            if loop > max(2, n):
+                report.violations.append(f"vertex {n} is periodic with period {loop} > {max(2, n)}")
         else:
-            k, loop = first, again - first
             report.transient[n] = (k, loop)
             if k > 2 * n:
                 report.violations.append(f"orbit of {n} enters its cycle at {k} > {2 * n}")
             if loop > n:
                 report.violations.append(f"orbit of {n} has cycle length {loop} > {n}")
-            if k > 2 * n - 1:
-                report.sharp_entry = False
     return report

@@ -66,10 +66,6 @@ class EdgeLabeling:
             slots[name] = w
         self._dirs[child] = tuple(slots[x] for x in DIRS)
 
-    def direction_of(self, v: int, w: int) -> str:
-        """Which direction leads from v to its neighbor w."""
-        return DIRS[self.directions(v).index(w)]
-
 
 class WobblingPair:
     """Two permutations alpha and beta read off a direction labeling."""

@@ -2,19 +2,21 @@
 
 The oracle builds breadth-first adjacency for a regular tree with a plain
 queue, so the arithmetic vertex numbering in the package can be checked
-against code that cannot share its bugs. The t6k3 host is the product of
-the degree-6 tree with a triangle: unlike every tree host, it makes the
-matcher reserve and consume fans. cli_artifact runs one command of the CLI
-and reads back a file it wrote.
+against code that cannot share its bugs. ExplicitEntourage is a finite
+entourage given by its pairs. The t6k3 host is the product of the degree-6
+tree with a triangle: unlike every tree host, it makes the matcher reserve
+and consume fans. cli_artifact runs one command of the CLI and reads back a
+file it wrote.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 import pytest
 
-from hallforest import SymmetricDoubleGraph, TreeEntourage, cli, double_graph
+from hallforest import Entourage, SymmetricDoubleGraph, TreeEntourage, cli, double_graph
 
 
 def bfs_tree_adjacency(r: int, max_vertex: int) -> dict[int, list[int]]:
@@ -39,6 +41,20 @@ def bfs_tree_adjacency(r: int, max_vertex: int) -> dict[int, list[int]]:
             adj[w] = [v]
             queue.append(w)
     return adj
+
+
+class ExplicitEntourage(Entourage):
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
+        sections: dict[int, set[int]] = {}
+        for x, y in pairs:
+            sections.setdefault(x, set()).add(y)
+            sections.setdefault(y, set()).add(x)
+        for v in sections:
+            sections[v].add(v)
+        self._sections = {v: tuple(sorted(s)) for v, s in sections.items()}
+
+    def section(self, v: int) -> tuple[int, ...]:
+        return self._sections.get(v, (v,))
 
 
 @pytest.fixture(scope="session")

@@ -16,16 +16,13 @@ import pytest
 
 from hallforest import (
     EdgeLabeling,
-    FiniteInducedSubgraph,
     ForestFunction,
     HallWitness,
     HaremMatcher,
     MatcherBudgetError,
     TreeEntourage,
     WobblingPair,
-    brute_force_matching,
     check_expansion,
-    check_harem_condition,
     cli,
     double_graph,
     reduced_words,
@@ -34,6 +31,8 @@ from hallforest import (
 )
 from hallforest.forest import Classification
 from hallforest.wobbling import DIRS, INVERSE
+
+from oracles import FiniteInducedSubgraph, brute_force_matching, check_harem_condition
 
 STEP_BUDGET = 25_000  # the full sweep forces 19,267 steps: about 25 s on a 2-core machine
 
@@ -153,16 +152,12 @@ def test_acceptance_5_same_tree():
             x = forest.f(x)
     root_of = {n: forest.find_root(n) for n in range(1, 101)}
     for x in range(1, 101):
-        assert forest.same_tree(x, x)
         for y in range(x + 1, 101):
-            agree = root_of[x] == root_of[y]
-            assert (find(x) == find(y)) == agree
-            assert forest.same_tree(x, y) == agree == forest.same_tree(y, x)
+            assert (find(x) == find(y)) == (root_of[x] == root_of[y])
     for x in (1, 4, 5):
         y = forest.f_star(x)
         z = forest.f_star(y)
-        assert forest.same_tree(x, y) and forest.same_tree(y, z)
-        assert forest.same_tree(x, z)
+        assert root_of[x] == forest.find_root(y) == forest.find_root(z)
     assert time.time() - started < 60
 
 

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from hallforest import (
-    ExplicitEntourage,
     ForestFunction,
     TreeEntourage,
     check_expansion,
@@ -15,7 +14,7 @@ from hallforest import (
     verify_forest,
 )
 
-from conftest import bfs_tree_adjacency
+from conftest import ExplicitEntourage, bfs_tree_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +169,19 @@ def test_find_root_against_plain_walk(forest63):
         assert entry <= 2 * n and len(cycle) <= max(2, n)
 
 
+def test_classify_and_find_root_raise_on_an_orbit_with_no_repeat(tree6):
+    # cycle control puts every first repeat within 3n + 2 steps; an f that
+    # never repeats ends the walk there instead of spinning forever
+    forest = ForestFunction(tree6, 3)
+    calls = []
+    forest.f = lambda x: calls.append(x) or x + 1
+    for query in (forest.classify, forest.find_root):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="cycle control broken at 5"):
+            query(5)
+        assert calls == list(range(5, 22))
+
+
 def test_roots_prefix_pin(forest63):
     assert forest63.roots_up_to(17) == (1, 4, 5, 6, 7, 9, 10, 11, 12, 15, 16, 17)
     for root in forest63.roots_up_to(30):
@@ -179,20 +191,25 @@ def test_roots_prefix_pin(forest63):
 # -- rays -------------------------------------------------------------------------
 
 
+def ray(forest: ForestFunction, anchor: int, length: int) -> list[int]:
+    """The first length points of the ray of least transient preimages above anchor."""
+    points = [anchor]
+    for _ in range(length):
+        points.append(forest.least_transient_preimage(points[-1]))
+    return points[1:]
+
+
 def test_ray_regression_pins(forest63):
     f = forest63
-    assert [f.ray_element(1, "root", m) for m in (1, 2, 3)] == [3, 13, 63]
-    assert [f.ray_element(1, "image", m) for m in (1, 2, 3)] == [8, 38, 188]
-    with pytest.raises(ValueError):
-        f.ray_element(3, "root", 1)
+    assert ray(f, 1, 3) == [3, 13, 63]
+    assert ray(f, f.f(1), 3) == [8, 38, 188]
 
 
 def test_rays_step_down_and_stay_transient(forest63):
     f = forest63
-    for which, anchor in (("root", 1), ("image", f.f(1))):
+    for anchor in (1, f.f(1)):
         prev = anchor
-        for m in range(1, 5):
-            x = f.ray_element(1, which, m)
+        for x in ray(f, anchor, 4):
             assert f.f(x) == prev
             assert not f.is_periodic(x)
             # least-ness among the transient preimages of the level below
@@ -203,12 +220,8 @@ def test_rays_step_down_and_stay_transient(forest63):
 
 def test_rays_are_disjoint_and_injective(forest63):
     f = forest63
-    seen = set()
-    for which in ("root", "image"):
-        for m in range(1, 5):
-            x = f.ray_element(1, which, m)
-            assert x not in seen
-            seen.add(x)
+    points = ray(f, 1, 4) + ray(f, f.f(1), 4)
+    assert len(set(points)) == 8
 
 
 # -- the forest step ---------------------------------------------------------------
@@ -320,14 +333,9 @@ def test_same_tree_is_an_equivalence(forest63):
     f = forest63
     root_of = {v: f.find_root(v) for v in range(1, 31)}
     for x in range(1, 31):
-        assert f.same_tree(x, x)
-        assert f.same_tree(x, f.f(x))
-    for x in range(1, 31, 3):
-        for y in range(2, 31, 5):
-            assert f.same_tree(x, y) == (root_of[x] == root_of[y])
-            assert f.same_tree(x, y) == f.same_tree(y, x)
-    assert f.same_tree(1, 63)
-    assert not f.same_tree(1, 4)
+        assert f.find_root(f.f(x)) == root_of[x]
+    assert f.find_root(63) == root_of[1]
+    assert root_of[4] != root_of[1]
 
 
 # -- verification ------------------------------------------------------------------

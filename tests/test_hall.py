@@ -2,22 +2,22 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from collections import defaultdict, deque
+from pathlib import Path
 
 import pytest
 
-from hallforest import (
+from hallforest import HallWitness, InfeasibleMatchingError, double_graph, solve_relaxed
+
+from conftest import bfs_tree_adjacency
+from oracles import (
     FiniteInducedSubgraph,
-    HallWitness,
-    InfeasibleMatchingError,
     Matching,
-    ball,
-    boundary_relaxed_matching,
     brute_force_matching,
     check_harem_condition,
-    double_graph,
-    solve_relaxed,
+    oracle_double_ball,
 )
 
 
@@ -305,34 +305,45 @@ def test_solve_relaxed_is_deterministic():
         assert first == solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
 
 
+def tree6_ball_matching(radius: int):
+    """solve_relaxed on the oracle ball of that radius around a_1 in the
+    tree6 double, d=4: (a_order, each A-vertex's B-list, interior B-vertices,
+    the result as a Matching, which refuses a B-vertex owned twice)."""
+    a_set, b_set, edges, boundary = oracle_double_ball(bfs_tree_adjacency(6, 40_000), 1, radius)
+    nbrs = {a: [] for a in a_set}
+    for a, b in edges:
+        nbrs[a].append(b)
+    interior = sorted(set(b_set) - set(boundary))
+    parts = solve_relaxed(*relaxed_call(a_set, nbrs, interior, 4))
+    return a_set, nbrs, interior, Matching((a, b) for a, bs in parts.items() for b in bs)
+
+
 def test_boundary_relaxed_matching_on_tree_ball(tree6):
     host = double_graph(tree6)
-    sub = ball(host, 1, "A", 3)
-    m = boundary_relaxed_matching(sub, 4)
-    for a in sub.a_vertices:
+    a_order, nbrs, interior, m = tree6_ball_matching(3)
+    for a in a_order:
         assert len(m.a_partners(a)) == 4
         assert set(m.a_partners(a)) <= set(host.neighbors_a(a))
-    owners = [m.b_owner(b) for b in sub.interior_b()]
+    owners = [m.b_owner(b) for b in interior]
     assert None not in owners
-    nbrs = {a: [] for a in sub.a_vertices}
-    for a, b in sub.edges:
-        nbrs[a].append(b)
-    assert relaxed_feasible(sub.a_vertices, nbrs, sub.interior_b(), 4)
+    assert relaxed_feasible(a_order, nbrs, interior, 4)
 
 
-def test_boundary_relaxed_matching_on_wide_ball(tree6):
+def test_boundary_relaxed_matching_on_wide_ball():
     # radius 5: 781 centers to fill, contract recount only (the flow oracle
     # is quadratic and adds nothing at this size)
-    host = double_graph(tree6)
-    sub = ball(host, 1, "A", 5)
-    assert len(sub.a_vertices) == 781
-    m = boundary_relaxed_matching(sub, 4)
-    assert all(len(m.a_partners(a)) == 4 for a in sub.a_vertices)
-    assert all(m.b_owner(b) is not None for b in sub.interior_b())
+    a_order, _, interior, m = tree6_ball_matching(5)
+    assert len(a_order) == 781
+    assert all(len(m.a_partners(a)) == 4 for a in a_order)
+    assert all(m.b_owner(b) is not None for b in interior)
 
 
-def test_boundary_relaxed_rejects_bad_d(tree6):
-    host = double_graph(tree6)
-    sub = ball(host, 1, "A", 1)
-    with pytest.raises(ValueError):
-        boundary_relaxed_matching(sub, 0)
+# -- the references stay independent -------------------------------------------------
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported if name.split(".")[0] == "hallforest"]

@@ -170,12 +170,12 @@ def test_fan_count_and_reflectedness_per_step(tree6):
 def test_cycle_control_on_tree_host(m80):
     report = verify_cycle_control(m80.f, 60)
     assert report.ok
-    assert report.sharp_entry
     assert set(report.periodic) | set(report.transient) == set(range(2, 61))
     for n, period in report.periodic.items():
         assert period <= max(2, n)
     for n, (k, loop) in report.transient.items():
-        assert 1 <= k <= 2 * n and 1 <= loop <= n
+        # entry within 2n - 1: one inside the bound verify_cycle_control enforces
+        assert 1 <= k <= 2 * n - 1 and 1 <= loop <= n
 
 
 def test_cycle_control_flags_bad_function():
@@ -303,6 +303,26 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
                      removed_a=[1], removed_b=[500, 501, 502])
     with pytest.raises(AssertionError):
         HaremMatcher.restore(host, HallWitness.identity(), non_edges, check=True)
+    # a missing key or a value of the wrong type is corrupt too, not a
+    # KeyError or TypeError from deep inside
+    m = fresh(tree7, 4)
+    m.advance_to_step(20)
+    cp = m.checkpoint()
+    as_text = [[str(a), str(b)] for a, b in cp["committed"]]
+    wrong_shapes = [
+        {key: value for key, value in cp.items() if key != "fans"},
+        dict(cp, fans=[{"root": 30}]),
+        dict(cp, d="4"),
+        dict(cp, d=4.0),
+        dict(cp, committed=as_text, removed_a=sorted({a for a, _ in as_text}),
+             removed_b=sorted(b for _, b in as_text)),
+        dict(cp, fans=[{"root": "30", "leaves": ["180", "181", "182"]}]),
+        dict(cp, committed=5),
+        list(cp.items()),
+    ]
+    for bad in wrong_shapes:
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            HaremMatcher.restore(host, HallWitness.identity(), bad)
 
 
 def test_check_mode_refuses_non_edges_under_python_O():
@@ -321,27 +341,34 @@ def test_check_mode_refuses_non_edges_under_python_O():
 
 
 def test_close_cycle_consumes_fans_on_its_chain(tree7):
-    """The chain's fan branches, from fans restored at step 0 on tree7, d=4.
+    """The chain's fan branches, and the balls' fan-root filter, from fans
+    restored at step 0 on tree7, d=4.
 
     The cursor 1 commits to (2, 3, 4), so the chain starts with target 1. A
     fan rooted at the tree neighbor 5 of 1, with leaf 1, is consumed by the
     chain, which goes on with target 5 and center 27, the fan's least other
     leaf. A second fan rooted at 27 makes the center a fan root: it takes
     the target plus its two lowest leaves instead of its ball partners.
+
+    A fan rooted at 3 keeps a_3 out of the chain's ball around 2, whose
+    interior holds b_1, until step 3 commits a_3 to its leaves. Were a_3 in
+    that ball, the ball would match it to b_1 and the chain would reserve it
+    a second fan of other leaves, over the first.
     """
     host = double_graph(tree7)
     first = {"root": 5, "leaves": [1, 27, 28]}
     cases = [
-        ([first], (5, 159, 160)),
-        ([first, {"root": 27, "leaves": [160, 161, 162]}], (5, 160, 161)),
+        ([first], 1, {1: (2, 3, 4), 5: (1, 27, 28), 27: (5, 159, 160)}),
+        ([first, {"root": 27, "leaves": [160, 161, 162]}], 1,
+         {1: (2, 3, 4), 5: (1, 27, 28), 27: (5, 160, 161)}),
+        ([{"root": 3, "leaves": [15, 16, 17]}], 3,
+         {1: (2, 3, 4), 2: (1, 9, 10), 3: (15, 16, 17), 4: (21, 22, 23)}),
     ]
-    for fans, partners_of_27 in cases:
+    for fans, steps, commits in cases:
         cp = {"d": 4, "step": 0, "committed": [], "removed_a": [], "removed_b": [], "fans": fans}
         m = HaremMatcher.restore(host, HallWitness.identity(), cp, check=True)
-        m.run_step()
-        assert m.partners_of(1) == (2, 3, 4)
-        assert m.partners_of(5) == (1, 27, 28)
-        assert m.partners_of(27) == partners_of_27
+        m.advance_to_step(steps)
+        assert {a: m.partners_of(a) for a in m.removed_a_set()} == commits
         assert m.fans() == {}
         m.advance_to_step(201)  # and the invariant asserts hold from there on
 

@@ -8,6 +8,24 @@ import types
 
 import hallforest
 
+import oracles
+
+# the pipeline: host oracle, ball solver, matcher, forest step, labels and
+# wobbling pair, with their checks and errors
+PIPELINE = {
+    "SymmetricDoubleGraph", "is_A_reflected",
+    "HallWitness", "InfeasibleMatchingError", "solve_relaxed",
+    "HaremMatcher", "MatcherBudgetError", "verify_cycle_control",
+    "Entourage", "TreeEntourage", "double_graph", "check_expansion",
+    "ForestFunction", "verify_forest",
+    "EdgeLabeling", "WobblingPair", "reduced_words", "verify_free_semiregular",
+    "__version__",
+}
+
+
+def test_all_is_exactly_the_pipeline():
+    assert set(hallforest.__all__) == PIPELINE
+
 
 def test_all_names_exactly_the_public_imports():
     public = {name for name, value in vars(hallforest).items()
@@ -29,4 +47,4 @@ def test_only_the_cli_and_the_matcher_write_json():
 def test_no_serializers_in_the_public_api():
     serializers = {"forest_to_json", "forest_to_dot", "wobble_to_json", "wobble_to_dot"}
     assert not serializers & set(hallforest.__all__)
-    assert not hasattr(hallforest.Matching, "to_json") and not hasattr(hallforest.Matching, "to_dot")
+    assert not hasattr(oracles.Matching, "to_json") and not hasattr(oracles.Matching, "to_dot")

@@ -54,10 +54,10 @@ def test_directions_are_a_bijection_onto_neighbors(pair, forest74):
 
 
 def test_direction_labels_are_edge_consistent(pair):
+    directions = pair.labeling.directions
     for v in range(1, 31):
-        for w in pair.labeling.directions(v):
-            name = pair.labeling.direction_of(v, w)
-            assert pair.labeling.direction_of(w, v) == INVERSE[name]
+        for name, w in zip(DIRS, directions(v)):
+            assert directions(w)[DIRS.index(INVERSE[name])] == v
 
 
 def test_consistency_across_a_whole_forest_ball(pair, forest74):
@@ -73,11 +73,11 @@ def test_consistency_across_a_whole_forest_ball(pair, forest74):
         ball.update(grown)
     assert len(ball) == 1 + 4 + 4 * 3 + 4 * 3 * 3
     inner = layers[0] | layers[1] | layers[2]
+    directions = pair.labeling.directions
     for v in sorted(inner):
-        for w in pair.labeling.directions(v):
+        for name, w in zip(DIRS, directions(v)):
             if w in inner:
-                name = pair.labeling.direction_of(v, w)
-                assert pair.labeling.direction_of(w, v) == INVERSE[name]
+                assert directions(w)[DIRS.index(INVERSE[name])] == v
 
 
 def test_moves_invert_each_other(pair):
