@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain, compress, count
+from typing import Callable, Sequence
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness, solve_relaxed
@@ -125,25 +127,47 @@ class HaremMatcher:
     def b_removed(self, b: int) -> bool:
         return self.owner_of(b) != 0
 
-    def removed_a_set(self) -> frozenset[int]:
+    def _retired(self) -> list[int]:
+        """The retired A-numbers in increasing order.
+
+        A commit fills all d-1 partner slots of its vertex, so the head slot
+        of each vertex (_parts[d-1::d-1] lists a = 1, 2, ...) is nonzero
+        exactly when it is retired.
+        """
         d1 = self.d - 1
-        return frozenset(a for a in range(1, len(self._parts) // d1) if self._parts[a * d1] != 0)
+        return list(compress(count(1), self._parts[d1::d1]))
+
+    def _committed(self) -> list[list[int]]:
+        """Every committed pair [a, b], in (a, b) order: slots are sorted on commit."""
+        parts, d1 = self._parts, self.d - 1
+        return [[a, b] for a in self._retired() for b in parts[a * d1:a * d1 + d1]]
+
+    def removed_a_set(self) -> frozenset[int]:
+        return frozenset(self._retired())
 
     def removed_b_set(self) -> frozenset[int]:
-        return frozenset(b for b in range(1, len(self._owner)) if self._owner[b] != 0)
+        return frozenset(b for _, b in self._committed())
 
     def fans(self) -> dict[int, tuple[int, ...]]:
         return dict(self._fans)
 
     # -- committing -------------------------------------------------------
 
+    def _check_commit(self, a: int, bs: Sequence[int]) -> None:
+        """The invariant mode's test of committing a_a to bs, before it is written.
+
+        Raised, not asserted, so that python -O keeps the invariant mode.
+        """
+        d1 = self.d - 1
+        if len(bs) != d1 or len(set(bs)) != d1 or self.a_removed(a) or any(
+                self.b_removed(b) or b in self._leaf_root or not self.graph.adjacent(a, b)
+                for b in bs):
+            raise AssertionError(f"committing a_{a} to {tuple(bs)} breaks the matching invariants")
+
     def _commit(self, a: int, bs: tuple[int, ...]) -> None:
         d1 = self.d - 1
-        # raised, not asserted, so that python -O keeps the invariant mode
-        if self.check and (len(bs) != d1 or len(set(bs)) != d1 or self.a_removed(a) or any(
-                self.b_removed(b) or b in self._leaf_root or not self.graph.adjacent(a, b)
-                for b in bs)):
-            raise AssertionError(f"committing a_{a} to {bs} breaks the matching invariants")
+        if self.check:
+            self._check_commit(a, bs)
         self._grow_parts(a)
         base = a * d1
         for i, b in enumerate(sorted(bs)):
@@ -162,6 +186,9 @@ class HaremMatcher:
 
     def _reserve_fan(self, root: int, leaves: tuple[int, ...]) -> None:
         """Hold leaves back for root, out of every ball, until it commits."""
+        if self.check and (root in self._fans or any(
+                self.b_removed(b) or b in self._leaf_root for b in leaves)):
+            raise AssertionError(f"reserving {leaves} for a_{root} breaks the fan ledger")
         self._fans[root] = leaves
         for b in leaves:
             self._leaf_root[b] = root
@@ -304,15 +331,13 @@ class HaremMatcher:
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        committed = sorted(
-            (self._owner[b], b) for b in range(1, len(self._owner)) if self._owner[b] != 0
-        )
+        committed = self._committed()
         return {
             "d": self.d,
             "step": self.step,
-            "committed": [[a, b] for a, b in committed],
-            "removed_a": sorted(self.removed_a_set()),
-            "removed_b": sorted(self.removed_b_set()),
+            "committed": committed,
+            "removed_a": self._retired(),
+            "removed_b": sorted([b for _, b in committed]),
             "fans": [
                 {"root": root, "leaves": list(self._fans[root])}
                 for root in sorted(self._fans)
@@ -335,23 +360,34 @@ class HaremMatcher:
 
         Fan leaves are checked against their root's section. Committed pairs
         are recorded without an adjacency lookup, which would cost one
-        section per retired vertex; check=True refuses a non-edge. No value
-        is type-checked either: a missing key or a value of the wrong type
-        fails on its way in with KeyError or TypeError, and that failure is
-        the ValueError's cause.
+        section per retired vertex; check=True refuses a non-edge. Values are
+        not type-checked one by one: a missing key or a value of the wrong
+        type fails on its way in with KeyError or TypeError, and that failure
+        is the ValueError's cause. JSON true, which equals 1, is refused as
+        the step and as a vertex number.
+
+        The cost is linear in the committed pairs: each retired vertex's
+        slots and owner entries are written straight into arrays grown once.
         """
         try:
             m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
             step = checkpoint["step"]
-            if not isinstance(step, int) or step < 0:
+            if type(step) is not int or step < 0:
                 raise ValueError(f"corrupt checkpoint: step {step!r} is not a non-negative integer")
+            committed = checkpoint["committed"]
             grouped: dict[int, list[int]] = {}
-            for a, b in checkpoint["committed"]:
-                grouped.setdefault(a, []).append(b)
+            try:
+                for a, b in committed:
+                    grouped.setdefault(a, []).append(b)
+                # true == 1 and hashes alike, so it can pass only for vertex 1. The
+                # pairs of a_1 come first in checkpoint() order, where index finds them.
+                ones = [committed[committed.index([1, b])][0] for b in grouped.get(1, ())]
+            except ValueError as exc:
+                raise ValueError(f"corrupt checkpoint: a committed pair is not [a, b]: {exc}") from exc
             removed_a = sorted(grouped)
             if removed_a != list(checkpoint["removed_a"]):
                 raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
-            removed_b = sorted(b for bs in grouped.values() for b in bs)
+            removed_b = sorted(chain.from_iterable(grouped.values()))
             if removed_b != list(checkpoint["removed_b"]):
                 raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
             # Numbers below 1 are refused before anything is committed: the state
@@ -361,16 +397,32 @@ class HaremMatcher:
             least = removed_a[:1] + removed_b[:1] + [min((root,) + leaves) for root, leaves in fans]
             if least and min(least) < 1:
                 raise ValueError(f"corrupt checkpoint: vertex number {min(least)} is below 1")
+            if len(set(removed_b)) != len(removed_b):
+                raise ValueError("corrupt checkpoint: a B-vertex is committed to two A-vertices")
+            # with no B-number twice, only the least can be 1; fans are few
+            ones += removed_b[:1] + [v for root, leaves in fans for v in (root,) + leaves]
+            if any(v is True for v in ones):
+                raise ValueError("corrupt checkpoint: true is no vertex number")
+            d1 = m.d - 1
+            if removed_a:
+                m._grow_parts(removed_a[-1])
+                m._grow_owner(removed_b[-1])
+            owner, parts = m._owner, m._parts
             for a, bs in grouped.items():
-                if len(bs) != m.d - 1:
+                if len(bs) != d1:
                     raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
-                m._commit(a, tuple(bs))
+                bs.sort()
+                if check:
+                    m._check_commit(a, bs)
+                parts[a * d1:a * d1 + d1] = array("i", bs)
+                for b in bs:
+                    owner[b] = a
             for root, leaves in fans:
                 if m.a_removed(root) or root in m._fans:
                     raise ValueError(f"corrupt checkpoint: fan root {root} is retired or repeated")
-                if len(set(leaves)) != m.d - 1:
+                if len(set(leaves)) != d1:
                     raise ValueError(f"corrupt checkpoint: fan of {root} holds {len(set(leaves))} "
-                                     f"distinct leaves, not {m.d - 1}")
+                                     f"distinct leaves, not {d1}")
                 section = graph.neighbors_a(root)
                 for b in leaves:
                     if m.b_removed(b) or b in m._leaf_root:
@@ -379,8 +431,8 @@ class HaremMatcher:
                         raise ValueError(f"corrupt checkpoint: fan leaf {b} is no neighbor of {root}")
                 m._reserve_fan(root, leaves)
             m.step = step
-            while m.a_removed(m._cursor):
-                m._cursor += 1
+            # removed_a[i] - i is 1 along the run 1, 2, ..., k of retired numbers, then larger
+            m._cursor = 1 + bisect_left(range(len(removed_a)), 2, key=lambda i: removed_a[i] - i)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"corrupt checkpoint: {exc!r}") from exc
         return m

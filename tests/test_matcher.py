@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -308,7 +309,11 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
     m = fresh(tree7, 4)
     m.advance_to_step(20)
     cp = m.checkpoint()
-    as_text = [[str(a), str(b)] for a, b in cp["committed"]]
+    pairs = cp["committed"]
+    assert pairs[:4] == [[1, 2], [1, 3], [1, 4], [2, 1]]
+    as_text = [[str(a), str(b)] for a, b in pairs]
+    # a_2's first partner 1 replaced by 2, which a_1 already holds
+    twice = [[2, 2]] + pairs[:3] + pairs[4:]
     wrong_shapes = [
         {key: value for key, value in cp.items() if key != "fans"},
         dict(cp, fans=[{"root": 30}]),
@@ -319,10 +324,67 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
         dict(cp, fans=[{"root": "30", "leaves": ["180", "181", "182"]}]),
         dict(cp, committed=5),
         list(cp.items()),
+        dict(cp, committed=[[1, 2, 3]] + pairs[1:]),
+        dict(cp, committed=[[1]] + pairs[1:]),
+        # JSON true equals 1: as a_1 in its first pair or a later one, as b_1, as the step
+        dict(cp, committed=[[True, 2]] + pairs[1:]),
+        dict(cp, committed=pairs[:1] + [[True, 3]] + pairs[2:]),
+        dict(cp, committed=pairs[:3] + [[2, True]] + pairs[4:]),
+        dict(cp, step=True),
+        dict(cp, committed=twice, removed_b=sorted(b for _, b in twice)),
     ]
     for bad in wrong_shapes:
-        with pytest.raises(ValueError, match="corrupt checkpoint"):
-            HaremMatcher.restore(host, HallWitness.identity(), bad)
+        for check in (False, True):
+            with pytest.raises(ValueError, match="corrupt checkpoint"):
+                HaremMatcher.restore(host, HallWitness.identity(), bad, check=check)
+
+
+def test_check_mode_guards_the_fan_ledger(tree7):
+    # a second fan over a live one, or over committed or reserved leaves,
+    # would strand the first fan's leaves and fail later in _take_fan
+    m = HaremMatcher(double_graph(tree7), 4, HallWitness.identity(), check=True)
+    m.advance_to_step(1)
+    m._reserve_fan(5, (27, 28, 29))
+    assert m.partners_of(1) == (2, 3, 4)
+    for root, leaves in [(5, (30, 31, 32)),    # root holds a fan
+                         (6, (2, 33, 34)),     # leaf committed to a_1
+                         (6, (29, 33, 34))]:   # leaf reserved for 5
+        with pytest.raises(AssertionError, match="breaks the fan ledger"):
+            m._reserve_fan(root, leaves)
+    assert m.fans() == {5: (27, 28, 29)}
+
+
+def owner_scan(m: HaremMatcher) -> dict:
+    """The whole-state readers as a scan over every slot of the state arrays."""
+    d1 = m.d - 1
+    committed = sorted((m._owner[b], b) for b in range(1, len(m._owner)) if m._owner[b] != 0)
+    return {
+        "committed": [[a, b] for a, b in committed],
+        "removed_a": [a for a in range(1, len(m._parts) // d1) if m._parts[a * d1] != 0],
+        "removed_b": [b for b in range(1, len(m._owner)) if m._owner[b] != 0],
+    }
+
+
+@pytest.mark.parametrize("space, steps", [("tree7", (0, 1, 100, 2000)), ("t6k3", (6, 2000))],
+                         ids=["tree7", "t6k3"])
+def test_whole_state_readers_match_a_slot_scan(host_of, space, steps):
+    host = host_of(space)
+    m = HaremMatcher(host, 4, HallWitness.identity())
+    for n in steps:
+        m.advance_to_step(n)
+        scan = owner_scan(m)
+        cp = m.checkpoint()
+        assert {key: cp[key] for key in scan} == scan
+        assert m.removed_a_set() == frozenset(scan["removed_a"])
+        assert m.removed_b_set() == frozenset(scan["removed_b"])
+        if (space, n) == ("t6k3", 6):
+            assert cp["fans"] == [{"root": 8, "leaves": [38, 41, 44]}]
+        text = m.checkpoint_json()
+        least_live = next(a for a in itertools.count(1) if not m.a_removed(a))
+        for check in (False, True):
+            back = HaremMatcher.restore(host, HallWitness.identity(), json.loads(text), check=check)
+            assert back.checkpoint_json() == text
+            assert back._cursor == least_live
 
 
 def test_check_mode_refuses_non_edges_under_python_O():
