@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
-from .matcher import HaremMatcher, first_repeat
+from .matcher import HaremMatcher, controlled_orbit, first_repeat
 
 
 class Entourage:
@@ -185,41 +185,13 @@ class ForestFunction:
         self._ltp[n] = result
         return result
 
-    def _orbit(self, n: int) -> tuple[list[int], int]:
-        """n's f-orbit up to its first repeat, and the index where the cycle starts.
-
-        Cycle control puts the repeat within 3n + 2 steps (entry within 2n,
-        period at most max(2, n)); an orbit with no repeat there raises
-        rather than looping.
-        """
-        orbit, first = first_repeat(self.f, n, 3 * n + 2)
-        if first is None:
-            raise RuntimeError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
-        return orbit, first
-
-    def find_root(self, n: int) -> int:
-        """Walk n's f-orbit to its cycle and return the root, the cycle minimum.
-
-        Cycle control caps the walk: entry within 2n steps, period at most
-        max(2, n). Violations raise rather than looping.
-        """
-        orbit, first = self._orbit(n)
-        cycle = orbit[first:]
-        root = min(cycle)
-        period = len(cycle)
-        if first > 2 * n or period > max(2, n):
-            raise RuntimeError(
-                f"cycle control broken at {n}: entry {first}, period {period}"
-            )
-        return root
-
     # -- classification ------------------------------------------------------
 
     def classify(self, u: int) -> Classification:
         hit = self._class.get(u)
         if hit is not None:
             return hit
-        orbit, first = self._orbit(u)
+        orbit, first = controlled_orbit(self.f, u)
         cycle = orbit[first:]
         root = min(cycle)
         image = cycle[(cycle.index(root) + 1) % len(cycle)]
@@ -333,7 +305,7 @@ class ForestFunction:
             path.append(p)
 
     def roots_up_to(self, n: int) -> tuple[int, ...]:
-        return tuple(sorted({self.find_root(v) for v in range(1, n + 1)}))
+        return tuple(sorted({self.classify(v).root for v in range(1, n + 1)}))
 
 
 # -- verification ------------------------------------------------------------

@@ -39,6 +39,16 @@ class MatcherBudgetError(RuntimeError):
     """The step budget ran out before the requested vertex was settled."""
 
 
+class CycleControlError(RuntimeError):
+    """An f-orbit breaks the cycle-control bounds that controlled_orbit checks."""
+
+
+def _grow(slots: array, size: int) -> None:
+    """Zero-fill slots to at least size entries, at least doubling its length."""
+    if size > len(slots):
+        slots.frombytes(bytes((max(size, 2 * len(slots)) - len(slots)) * slots.itemsize))
+
+
 class HaremMatcher:
     """Stateful constructor of the perfect (1, d-1)-matching.
 
@@ -97,17 +107,6 @@ class HaremMatcher:
                     f"A-vertex {v} has degree {g.degree_a(v)} < {self.d + slack}; "
                     "host cannot satisfy the counting hypothesis"
                 )
-
-    def _grow_owner(self, n: int) -> None:
-        owner = self._owner
-        if n >= len(owner):
-            owner.frombytes(bytes((max(n + 1, 2 * len(owner)) - len(owner)) * owner.itemsize))
-
-    def _grow_parts(self, a: int) -> None:
-        need = (a + 1) * (self.d - 1)
-        parts = self._parts
-        if need > len(parts):
-            parts.frombytes(bytes((max(need, 2 * len(parts)) - len(parts)) * parts.itemsize))
 
     def owner_of(self, b: int) -> int:
         """The A-number matched to b_b so far, 0 if not yet matched."""
@@ -168,11 +167,11 @@ class HaremMatcher:
         d1 = self.d - 1
         if self.check:
             self._check_commit(a, bs)
-        self._grow_parts(a)
+        _grow(self._parts, (a + 1) * d1)
         base = a * d1
         for i, b in enumerate(sorted(bs)):
             self._parts[base + i] = b
-            self._grow_owner(b)
+            _grow(self._owner, b + 1)
             self._owner[b] = a
 
     # -- the fan ledger: the only code that edits _fans and _leaf_root -------
@@ -185,9 +184,15 @@ class HaremMatcher:
         return leaves
 
     def _reserve_fan(self, root: int, leaves: tuple[int, ...]) -> None:
-        """Hold leaves back for root, out of every ball, until it commits."""
-        if self.check and (root in self._fans or any(
-                self.b_removed(b) or b in self._leaf_root for b in leaves)):
+        """Hold leaves back for root, out of every ball, until it commits.
+
+        Checked on every call, as restore passes checkpoint fans here: the root
+        is live and holds no fan; its d-1 distinct leaves are uncommitted,
+        unreserved and in its section.
+        """
+        if (self.a_removed(root) or root in self._fans or len(set(leaves)) != self.d - 1
+                or any(self.b_removed(b) or b in self._leaf_root for b in leaves)
+                or not set(leaves).issubset(self.graph.neighbors_a(root))):
             raise AssertionError(f"reserving {leaves} for a_{root} breaks the fan ledger")
         self._fans[root] = leaves
         for b in leaves:
@@ -358,7 +363,8 @@ class HaremMatcher:
     ) -> "HaremMatcher":
         """Rebuild a matcher from checkpoint(); ValueError on a corrupt one.
 
-        Fan leaves are checked against their root's section. Committed pairs
+        Fans go through _reserve_fan's ledger checks, and the mirror rule is
+        checked: every retired A-number's B-copy is committed. Committed pairs
         are recorded without an adjacency lookup, which would cost one
         section per retired vertex; check=True refuses a non-edge. Values are
         not type-checked one by one: a missing key or a value of the wrong
@@ -390,24 +396,28 @@ class HaremMatcher:
             removed_b = sorted(chain.from_iterable(grouped.values()))
             if removed_b != list(checkpoint["removed_b"]):
                 raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
-            # Numbers below 1 are refused before anything is committed: the state
-            # arrays are indexed by number, where slot 0 is no vertex and a negative
-            # index counts from the far end. Sorted lists start with their least.
+            # Numbers outside 1..2^31-1 are refused before any array grows: the arrays
+            # are indexed by number, slot 0 is no vertex, a negative index counts from
+            # the far end, and array("i") holds no 2^31. Sorted lists start with their
+            # least and end with their greatest.
             fans = [(fan["root"], tuple(fan["leaves"])) for fan in checkpoint["fans"]]
-            least = removed_a[:1] + removed_b[:1] + [min((root,) + leaves) for root, leaves in fans]
-            if least and min(least) < 1:
-                raise ValueError(f"corrupt checkpoint: vertex number {min(least)} is below 1")
+            fanned = [v for root, leaves in fans for v in (root,) + leaves]
+            ends = removed_a[:1] + removed_a[-1:] + removed_b[:1] + removed_b[-1:] + fanned
+            wrong = [v for v in ends if not 0 < v < 2 ** 31]
+            if wrong:
+                raise ValueError(f"corrupt checkpoint: vertex number {wrong[0]} is not in 1..2^31-1")
             if len(set(removed_b)) != len(removed_b):
                 raise ValueError("corrupt checkpoint: a B-vertex is committed to two A-vertices")
-            # with no B-number twice, only the least can be 1; fans are few
-            ones += removed_b[:1] + [v for root, leaves in fans for v in (root,) + leaves]
-            if any(v is True for v in ones):
-                raise ValueError("corrupt checkpoint: true is no vertex number")
+            # With no B-number twice, only the least can be 1. Fan numbers, which are
+            # few, are all type-checked: past the arrays' ends no slot read refuses a float.
+            ones += removed_b[:1]
+            if any(v is True for v in ones) or any(type(v) is not int for v in fanned):
+                raise ValueError("corrupt checkpoint: a vertex number is no integer, or is true")
             d1 = m.d - 1
-            if removed_a:
-                m._grow_parts(removed_a[-1])
-                m._grow_owner(removed_b[-1])
             owner, parts = m._owner, m._parts
+            if removed_a:
+                _grow(parts, (removed_a[-1] + 1) * d1)
+                _grow(owner, max(removed_a[-1], removed_b[-1]) + 1)
             for a, bs in grouped.items():
                 if len(bs) != d1:
                     raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
@@ -417,19 +427,14 @@ class HaremMatcher:
                 parts[a * d1:a * d1 + d1] = array("i", bs)
                 for b in bs:
                     owner[b] = a
-            for root, leaves in fans:
-                if m.a_removed(root) or root in m._fans:
-                    raise ValueError(f"corrupt checkpoint: fan root {root} is retired or repeated")
-                if len(set(leaves)) != d1:
-                    raise ValueError(f"corrupt checkpoint: fan of {root} holds {len(set(leaves))} "
-                                     f"distinct leaves, not {d1}")
-                section = graph.neighbors_a(root)
-                for b in leaves:
-                    if m.b_removed(b) or b in m._leaf_root:
-                        raise ValueError(f"corrupt checkpoint: fan leaf {b} is committed or shared")
-                    if b not in section:
-                        raise ValueError(f"corrupt checkpoint: fan leaf {b} is no neighbor of {root}")
-                m._reserve_fan(root, leaves)
+            # after the writes, so that check=True has refused a non-edge first
+            if not all(map(owner.__getitem__, removed_a)):
+                raise ValueError("corrupt checkpoint: a retired A-vertex's B-copy is uncommitted")
+            try:
+                for root, leaves in fans:
+                    m._reserve_fan(root, leaves)
+            except AssertionError as exc:
+                raise ValueError(f"corrupt checkpoint: {exc}") from exc
             m.step = step
             # removed_a[i] - i is 1 along the run 1, 2, ..., k of retired numbers, then larger
             m._cursor = 1 + bisect_left(range(len(removed_a)), 2, key=lambda i: removed_a[i] - i)
@@ -459,6 +464,23 @@ def first_repeat(f: Callable[[int], int], n: int, limit: int) -> tuple[list[int]
     return orbit, None
 
 
+def controlled_orbit(f: Callable[[int], int], n: int) -> tuple[list[int], int]:
+    """n's f-orbit up to its first repeat, and the index where the cycle starts.
+
+    The one check of cycle control: the orbit enters its cycle within 2n
+    steps, and the cycle's period is at most max(2, n), so the repeat comes
+    within 3n + 2 calls of f. A violation raises CycleControlError instead
+    of walking on.
+    """
+    orbit, first = first_repeat(f, n, 3 * n + 2)
+    if first is None:
+        raise CycleControlError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
+    period = len(orbit) - first
+    if first > 2 * n or period > max(2, n):
+        raise CycleControlError(f"cycle control broken at {n}: entry {first}, period {period}")
+    return orbit, first
+
+
 @dataclass
 class CycleControlReport:
     """Outcome of verify_cycle_control.
@@ -478,27 +500,17 @@ class CycleControlReport:
 
 
 def verify_cycle_control(f: Callable[[int], int], upto: int) -> CycleControlReport:
-    """Walk every orbit with start 2..upto and check the cycle bounds.
-
-    Periodic starts must return within max(2, n) iterations (minimal period
-    at most n for n >= 2); non-periodic starts must repeat a value f^k(n) =
-    f^(k+l)(n) with k <= 2n and l <= n.
-    """
+    """Walk every orbit with start 2..upto through controlled_orbit, recording
+    each start as periodic, as transient or as a violation of cycle control."""
     report = CycleControlReport(upto=upto)
     for n in range(2, upto + 1):
-        orbit, k = first_repeat(f, n, 3 * n + 2)
-        if k is None:
-            report.violations.append(f"orbit of {n} shows no repeat within {3 * n + 2} iterations")
+        try:
+            orbit, k = controlled_orbit(f, n)
+        except CycleControlError as exc:
+            report.violations.append(str(exc))
             continue
-        loop = len(orbit) - k
         if k == 0:
-            report.periodic[n] = loop
-            if loop > max(2, n):
-                report.violations.append(f"vertex {n} is periodic with period {loop} > {max(2, n)}")
+            report.periodic[n] = len(orbit)
         else:
-            report.transient[n] = (k, loop)
-            if k > 2 * n:
-                report.violations.append(f"orbit of {n} enters its cycle at {k} > {2 * n}")
-            if loop > n:
-                report.violations.append(f"orbit of {n} has cycle length {loop} > {n}")
+            report.transient[n] = (k, len(orbit) - k)
     return report

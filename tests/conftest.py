@@ -6,7 +6,8 @@ against code that cannot share its bugs. ExplicitEntourage is a finite
 entourage given by its pairs. The t6k3 host is the product of the degree-6
 tree with a triangle: unlike every tree host, it makes the matcher reserve
 and consume fans. cli_artifact runs one command of the CLI and reads back a
-file it wrote.
+file it wrote. The hallforest Hypothesis profile makes every run draw the
+same examples.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from collections import deque
 from typing import Iterable
 
 import pytest
+from hypothesis import settings
 
 from hallforest import Entourage, SymmetricDoubleGraph, TreeEntourage, cli, double_graph
+
+
+settings.register_profile("hallforest", derandomize=True, deadline=None, max_examples=200, database=None)
+settings.load_profile("hallforest")
 
 
 def bfs_tree_adjacency(r: int, max_vertex: int) -> dict[int, list[int]]:

@@ -150,14 +150,14 @@ def test_acceptance_5_same_tree():
         for _ in range(3 * n + 2):
             union(x, forest.f(x))
             x = forest.f(x)
-    root_of = {n: forest.find_root(n) for n in range(1, 101)}
+    root_of = {n: forest.classify(n).root for n in range(1, 101)}
     for x in range(1, 101):
         for y in range(x + 1, 101):
             assert (find(x) == find(y)) == (root_of[x] == root_of[y])
     for x in (1, 4, 5):
         y = forest.f_star(x)
         z = forest.f_star(y)
-        assert root_of[x] == forest.find_root(y) == forest.find_root(z)
+        assert root_of[x] == forest.classify(y).root == forest.classify(z).root
     assert time.time() - started < 60
 
 

@@ -154,7 +154,7 @@ def test_classification_pins(forest63):
             assert f.f_star(u) == f.f(u)
 
 
-def test_find_root_against_plain_walk(forest63):
+def test_classify_root_against_plain_walk(forest63):
     for n in range(1, 61):
         seen = {n: 0}
         x = n
@@ -165,21 +165,25 @@ def test_find_root_against_plain_walk(forest63):
                 break
             seen[x] = len(seen)
         cycle = [v for v, i in seen.items() if i >= entry]
-        assert forest63.find_root(n) == min(cycle)
+        assert forest63.classify(n).root == min(cycle)
         assert entry <= 2 * n and len(cycle) <= max(2, n)
 
 
-def test_classify_and_find_root_raise_on_an_orbit_with_no_repeat(tree6):
-    # cycle control puts every first repeat within 3n + 2 steps; an f that
-    # never repeats ends the walk there instead of spinning forever
-    forest = ForestFunction(tree6, 3)
-    calls = []
-    forest.f = lambda x: calls.append(x) or x + 1
-    for query in (forest.classify, forest.find_root):
-        calls.clear()
-        with pytest.raises(RuntimeError, match="cycle control broken at 5"):
-            query(5)
-        assert calls == list(range(5, 22))
+def test_classify_raises_on_an_orbit_that_breaks_cycle_control(tree6):
+    # cycle control puts every first repeat within 3n + 2 steps, entered
+    # within 2n; an f that breaks either bound raises instead of spinning
+    # forever or classifying the orbit
+    broken = [
+        (lambda x: x + 1, "no repeat within 17 steps", 22),  # never repeats
+        (lambda x: min(x + 1, 20), "entry 15, period 1", 21),  # repeats in time, enters late
+    ]
+    for f, message, stop in broken:
+        forest = ForestFunction(tree6, 3)
+        calls = []
+        forest.f = lambda x, f=f: calls.append(x) or f(x)
+        with pytest.raises(RuntimeError, match=f"cycle control broken at 5: {message}"):
+            forest.classify(5)
+        assert calls == list(range(5, stop))
 
 
 def test_roots_prefix_pin(forest63):
@@ -331,10 +335,10 @@ def test_parent_and_path_to_root(forest63):
 
 def test_same_tree_is_an_equivalence(forest63):
     f = forest63
-    root_of = {v: f.find_root(v) for v in range(1, 31)}
+    root_of = {v: f.classify(v).root for v in range(1, 31)}
     for x in range(1, 31):
-        assert f.find_root(f.f(x)) == root_of[x]
-    assert f.find_root(63) == root_of[1]
+        assert f.classify(f.f(x)).root == root_of[x]
+    assert f.classify(63).root == root_of[1]
     assert root_of[4] != root_of[1]
 
 

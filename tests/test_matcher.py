@@ -314,6 +314,8 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
     as_text = [[str(a), str(b)] for a, b in pairs]
     # a_2's first partner 1 replaced by 2, which a_1 already holds
     twice = [[2, 2]] + pairs[:3] + pairs[4:]
+    assert [27, 5] in pairs and 5 in cp["removed_a"] and 161 not in cp["removed_b"]
+    mirror = sorted([27, 161] if pair == [27, 5] else pair for pair in pairs)
     wrong_shapes = [
         {key: value for key, value in cp.items() if key != "fans"},
         dict(cp, fans=[{"root": 30}]),
@@ -332,6 +334,11 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
         dict(cp, committed=pairs[:3] + [[2, True]] + pairs[4:]),
         dict(cp, step=True),
         dict(cp, committed=twice, removed_b=sorted(b for _, b in twice)),
+        # the mirror rule: a_5 is retired, and moving a_27's partner 5 to its
+        # live neighbor 161 leaves b_5 free
+        dict(cp, committed=mirror, removed_b=sorted(b for _, b in mirror)),
+        # float fan leaves past the state arrays are never read from a slot
+        dict(cp, fans=[{"root": 5000, "leaves": [29997.0, 29998.0, 29999.0]}]),
     ]
     for bad in wrong_shapes:
         for check in (False, True):
@@ -340,18 +347,24 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
 
 
 def test_check_mode_guards_the_fan_ledger(tree7):
-    # a second fan over a live one, or over committed or reserved leaves,
-    # would strand the first fan's leaves and fail later in _take_fan
-    m = HaremMatcher(double_graph(tree7), 4, HallWitness.identity(), check=True)
-    m.advance_to_step(1)
-    m._reserve_fan(5, (27, 28, 29))
-    assert m.partners_of(1) == (2, 3, 4)
-    for root, leaves in [(5, (30, 31, 32)),    # root holds a fan
-                         (6, (2, 33, 34)),     # leaf committed to a_1
-                         (6, (29, 33, 34))]:   # leaf reserved for 5
-        with pytest.raises(AssertionError, match="breaks the fan ledger"):
-            m._reserve_fan(root, leaves)
-    assert m.fans() == {5: (27, 28, 29)}
+    # the ledger's rules hold with the invariant mode off too, since restore
+    # reserves the fans a checkpoint names: a second fan over a live one, or
+    # over committed or reserved leaves, would strand the first fan's leaves
+    # and fail later in _take_fan
+    for check in (False, True):
+        m = HaremMatcher(double_graph(tree7), 4, HallWitness.identity(), check=check)
+        m.advance_to_step(1)
+        m._reserve_fan(5, (27, 28, 29))
+        assert m.partners_of(1) == (2, 3, 4) and m.partners_of(2) == (1, 9, 10)
+        for root, leaves in [(5, (30, 31, 32)),       # root holds a fan
+                             (6, (1, 33, 34)),        # leaf committed to a_2
+                             (159, (27, 951, 952)),   # leaf reserved for 5
+                             (2, (11, 12, 13)),       # root retired
+                             (6, (33, 34)),           # two leaves, not d - 1
+                             (6, (33, 34, 39))]:      # 39 is outside the section of 6
+            with pytest.raises(AssertionError, match="breaks the fan ledger"):
+                m._reserve_fan(root, leaves)
+        assert m.fans() == {5: (27, 28, 29)}
 
 
 def owner_scan(m: HaremMatcher) -> dict:
@@ -387,6 +400,13 @@ def test_whole_state_readers_match_a_slot_scan(host_of, space, steps):
             assert back._cursor == least_live
 
 
+def run_python(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this checkout's hallforest."""
+    src = str(Path(hallforest.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True)
+
+
 def test_check_mode_refuses_non_edges_under_python_O():
     # python -O strips assert statements; the invariant mode must not go with them
     script = (
@@ -395,11 +415,37 @@ def test_check_mode_refuses_non_edges_under_python_O():
         "      'removed_a': [1], 'removed_b': [500, 501, 502], 'fans': []}\n"
         "m = HaremMatcher.restore(double_graph(TreeEntourage(7)), HallWitness.identity(), cp, check=True)\n"
         "print(m.partners_of(1))\n")
-    src = str(Path(hallforest.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    run = run_python(script, "-O")
     assert run.returncode != 0, run.stdout
     assert "AssertionError" in run.stderr and "breaks the matching invariants" in run.stderr
+
+
+def test_restore_refuses_numbers_from_2_to_the_31_before_growing():
+    # array("i") holds no 2^31, and growing the state arrays to it first would
+    # ask for over 8 GB. The child runs under a 2 GB address-space cap, so a
+    # restore that grows first fails there with MemoryError, not ValueError.
+    script = (
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 2 * 10**9 if hard == resource.RLIM_INFINITY else min(2 * 10**9, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from hallforest import HallWitness, HaremMatcher, TreeEntourage, double_graph\n"
+        "host, big = double_graph(TreeEntourage(7)), 2 ** 31\n"
+        "empty = {'d': 4, 'step': 1, 'committed': [], 'removed_a': [], 'removed_b': [], 'fans': []}\n"
+        "for bad in [dict(empty, committed=[[1, 2], [1, 3], [1, big]], removed_a=[1], removed_b=[2, 3, big]),\n"
+        "            dict(empty, committed=[[big, 2], [big, 3], [big, 4]], removed_a=[big], removed_b=[2, 3, 4]),\n"
+        "            dict(empty, fans=[{'root': big, 'leaves': [5, 6, 7]}]),\n"
+        "            dict(empty, fans=[{'root': 2, 'leaves': [9, 10, big]}])]:\n"
+        "    for check in (False, True):\n"
+        "        try:\n"
+        "            HaremMatcher.restore(host, HallWitness.identity(), bad, check=check)\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n")
+    run = run_python(script)
+    assert run.returncode == 0, run.stderr
+    refusals = run.stdout.splitlines()
+    assert len(refusals) == 8
+    assert all(r == "corrupt checkpoint: vertex number 2147483648 is not in 1..2^31-1" for r in refusals)
 
 
 def test_close_cycle_consumes_fans_on_its_chain(tree7):
