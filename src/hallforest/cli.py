@@ -138,7 +138,9 @@ def _wobbling_block(pair: WobblingPair, word_len: int, upto: int) -> dict:
 
 def _reflected_block(matcher: HaremMatcher, n: int) -> dict:
     upto = min(n, 40)
-    ok = is_A_reflected(matcher.graph, upto, matcher.removed_a_set(), matcher.removed_b_set())
+    numbers = range(1, upto + 1)  # the only ones is_A_reflected reads
+    ok = is_A_reflected(matcher.graph, upto, set(filter(matcher.a_removed, numbers)),
+                        set(filter(matcher.b_removed, numbers)))
     return {"ok": ok, "range": upto}
 
 

@@ -64,9 +64,9 @@ def is_A_reflected(
 
     Checks, for every edge (a_x, b_y) with both numbers at most vertex_range
     and both endpoints remaining: if the mirror vertex b_x is remaining, the
-    mirror edge (a_y, b_x) must be present and remaining as well. This is a
-    prefix check only; it cannot certify anything about vertices beyond
-    vertex_range.
+    mirror edge (a_y, b_x) must be present and remaining as well. A prefix
+    check only: it reads removed_a, removed_b and the host's sections only at
+    numbers up to vertex_range, and certifies nothing beyond it.
     """
     for x in range(1, vertex_range + 1):
         if x in removed_a:

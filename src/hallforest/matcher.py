@@ -49,6 +49,21 @@ def _grow(slots: array, size: int) -> None:
         slots.frombytes(bytes((max(size, 2 * len(slots)) - len(slots)) * slots.itemsize))
 
 
+def _joined(slots: array, width: int, fmt: Callable[..., str], reads: int = 0) -> str:
+    """fmt(n, *its first `reads` slots) for each set number n, ascending, comma-joined.
+
+    Number n holds slots[n*width:(n+1)*width], and is set when the first is nonzero.
+    Reading 1,024 numbers at a time bounds memory and makes no object per unset number.
+    """
+    size, chunks = 1024, []
+    offsets = list(range(size))
+    for lo in range(0, len(slots) // width, size):
+        columns = [slots[lo * width + i:(lo + size) * width:width] for i in range(width)]
+        numbers = map(lo.__add__, compress(offsets, columns[0]))
+        chunks.append(",".join(map(fmt, numbers, *(compress(c, columns[0]) for c in columns[:reads]))))
+    return ",".join(filter(None, chunks))
+
+
 class HaremMatcher:
     """Stateful constructor of the perfect (1, d-1)-matching.
 
@@ -126,26 +141,12 @@ class HaremMatcher:
     def b_removed(self, b: int) -> bool:
         return self.owner_of(b) != 0
 
-    def _retired(self) -> list[int]:
-        """The retired A-numbers in increasing order.
-
-        A commit fills all d-1 partner slots of its vertex, so the head slot
-        of each vertex (_parts[d-1::d-1] lists a = 1, 2, ...) is nonzero
-        exactly when it is retired.
-        """
-        d1 = self.d - 1
-        return list(compress(count(1), self._parts[d1::d1]))
-
-    def _committed(self) -> list[list[int]]:
-        """Every committed pair [a, b], in (a, b) order: slots are sorted on commit."""
-        parts, d1 = self._parts, self.d - 1
-        return [[a, b] for a in self._retired() for b in parts[a * d1:a * d1 + d1]]
-
     def removed_a_set(self) -> frozenset[int]:
-        return frozenset(self._retired())
+        d1 = self.d - 1
+        return frozenset(compress(count(1), self._parts[d1::d1]))
 
     def removed_b_set(self) -> frozenset[int]:
-        return frozenset(b for _, b in self._committed())
+        return frozenset(filter(None, self._parts))
 
     def fans(self) -> dict[int, tuple[int, ...]]:
         return dict(self._fans)
@@ -336,21 +337,23 @@ class HaremMatcher:
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        committed = self._committed()
-        return {
-            "d": self.d,
-            "step": self.step,
-            "committed": committed,
-            "removed_a": self._retired(),
-            "removed_b": sorted([b for _, b in committed]),
-            "fans": [
-                {"root": root, "leaves": list(self._fans[root])}
-                for root in sorted(self._fans)
-            ],
-        }
+        return json.loads(self.checkpoint_json())
 
     def checkpoint_json(self) -> str:
-        return json.dumps(self.checkpoint(), sort_keys=True, separators=(",", ":")) + "\n"
+        """The format's one writer: compact JSON, keys sorted, ending in a newline.
+
+        Keys: committed, every pair [a, b] in (a, b) order; d; fans, each {"leaves":
+        [...], "root": r}, by root; removed_a and removed_b, ascending; step. The text
+        is json.dumps(..., sort_keys=True, separators=(",", ":")) + "\\n" of them,
+        written off the state arrays with no object per committed pair.
+        """
+        d1, parts = self.d - 1, self._parts
+        pairs = ",".join(f"[{{0}},{{{i}}}]" for i in range(1, d1 + 1)).format
+        fans = json.dumps([{"leaves": self._fans[r], "root": r} for r in sorted(self._fans)],
+                          separators=(",", ":"))
+        return (f'{{"committed":[{_joined(parts, d1, pairs, d1)}],"d":{self.d},"fans":{fans},'
+                f'"removed_a":[{_joined(parts, d1, str)}],"removed_b":[{_joined(self._owner, 1, str)}],'
+                f'"step":{self.step}}}\n')
 
     @classmethod
     def restore(

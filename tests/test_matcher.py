@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,52 @@ def test_whole_state_readers_match_a_slot_scan(host_of, space, steps):
             assert back._cursor == least_live
 
 
+def reference_checkpoint(m: HaremMatcher) -> dict:
+    """checkpoint() as it was built from per-pair lists before checkpoint_json
+    wrote its text straight off the state arrays; a frozen reference."""
+    d1 = m.d - 1
+    retired = list(itertools.compress(itertools.count(1), m._parts[d1::d1]))
+    committed = [[a, b] for a in retired for b in m._parts[a * d1:a * d1 + d1]]
+    return {
+        "d": m.d,
+        "step": m.step,
+        "committed": committed,
+        "removed_a": retired,
+        "removed_b": sorted([b for _, b in committed]),
+        "fans": [{"root": root, "leaves": list(m._fans[root])} for root in sorted(m._fans)],
+    }
+
+
+# the checkpoint pins are all at d=4 and hold no live fan; these cases add
+# other d and, on T6xK3, one live fan each
+WRITER_CASES = [("tree7", 4, (0, 1, 2000)), ("tree6", 3, (500,)), ("tree7", 5, (500,)),
+                ("t6k3", 4, (6, 1000))]
+
+
+@pytest.mark.parametrize("space, d, steps", WRITER_CASES,
+                         ids=[f"{space}-d{d}" for space, d, _ in WRITER_CASES])
+def test_checkpoint_json_is_json_dumps_of_the_reference(host_of, space, d, steps):
+    m = HaremMatcher(host_of(space), d, HallWitness.identity())
+    for n in steps:
+        m.advance_to_step(n)
+        if space == "t6k3":
+            assert len(m.fans()) == 1
+        reference = json.dumps(reference_checkpoint(m), sort_keys=True, separators=(",", ":")) + "\n"
+        assert m.checkpoint_json() == reference
+
+
+def test_checkpoint_json_peak_memory_is_bounded_by_its_text(tree7):
+    m = fresh(tree7, 4)
+    m.advance_to_step(5000)
+    tracemalloc.start()
+    try:
+        text = m.checkpoint_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
 def run_python(script: str, *flags: str) -> subprocess.CompletedProcess:
     """Run script in a fresh interpreter that imports this checkout's hallforest."""
     src = str(Path(hallforest.__file__).parents[1])
@@ -496,6 +543,8 @@ def test_two_runs_are_byte_identical(tree6):
 PINNED_CHECKPOINTS = [
     ("tree6", 1000, "af9b9cc3e7d6f355ad836709cd57853b1928c25e0f7cf5fb01f370632dbaa749"),
     ("t6k3", 2000, "d94545258a786239d4fa6f99d983111b246e56bb6c7ff34b6fdd56a21d10d309"),
+    # the benchmark's step_tree7 gate (perfbench/expected.json)
+    ("tree7", 2500, "c718d44ae22f1a88c8f4619c1fa049752554266269360302ec827729c9ef287c"),
 ]
 
 
