@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
-from .matcher import HaremMatcher, controlled_orbit, first_repeat
+from .matcher import HaremMatcher, controlled_orbit
 
 
 class Entourage:
@@ -145,7 +145,6 @@ class ForestFunction:
         self.d = d
         self.matcher = HaremMatcher(
             double_graph(entourage), d, HallWitness.identity(), step_limit=step_limit)
-        self._periodic: dict[int, bool] = {}
         self._ltp: dict[int, int] = {}
         self._class: dict[int, Classification] = {}
         self._star: dict[int, int] = {}
@@ -158,27 +157,19 @@ class ForestFunction:
     def f_preimages(self, n: int) -> tuple[int, ...]:
         return self.matcher.preimages(n)
 
-    def is_periodic(self, n: int) -> bool:
-        """Whether n sits on an f-cycle; decidable within max(2, n) iterations.
-
-        The walk stops at the orbit's first repeat x. The cycle starts at x,
-        so it holds n exactly when x = n; walking on would only go round it,
-        over settled points, and force no matcher step. A query therefore
-        costs its orbit length, not n. An orbit with no repeat within the
-        bound is not periodic, since cycle control caps periods at max(2, n).
-        """
-        hit = self._periodic.get(n)
-        if hit is not None:
-            return hit
-        result = self._periodic[n] = first_repeat(self.f, n, max(2, n))[1] == 0
-        return result
-
     def least_transient_preimage(self, n: int) -> int:
-        """The least f-preimage of n that is not periodic."""
+        """The least f-preimage of n that is not periodic.
+
+        A preimage p of n is periodic exactly when n is and p is n's cycle
+        predecessor, the last point of n's orbit. So one walk, n's own, tells
+        the periodic preimage apart.
+        """
         hit = self._ltp.get(n)
         if hit is not None:
             return hit
-        options = [p for p in self.f_preimages(n) if not self.is_periodic(p)]
+        orbit, first = controlled_orbit(self.f, n)
+        periodic = orbit[-1] if first == 0 else None
+        options = [p for p in self.f_preimages(n) if p != periodic]
         if not options:
             raise RuntimeError(f"{n} has no transient preimage; needs d >= 3")
         result = min(options)

@@ -44,9 +44,10 @@ class CycleControlError(RuntimeError):
 
 
 def _grow(slots: array, size: int) -> None:
-    """Zero-fill slots to at least size entries, at least doubling its length."""
+    """Zero-fill slots to size entries, if shorter; frombytes over-allocates, so
+    growth one number at a time stays amortized."""
     if size > len(slots):
-        slots.frombytes(bytes((max(size, 2 * len(slots)) - len(slots)) * slots.itemsize))
+        slots.frombytes(bytes((size - len(slots)) * slots.itemsize))
 
 
 def _joined(slots: array, width: int, fmt: Callable[..., str], reads: int = 0) -> str:
@@ -89,17 +90,18 @@ class HaremMatcher:
             raise ValueError("witness must satisfy h(0) = 0")
         self.graph = graph
         self.d = d
+        self._sanity_check_host(h)  # before anything is allocated, as d may be huge
         self.step_limit = step_limit
         self.check = check
         self.step = 0
         self._cursor = 1  # least A-number that may still be live
         # owner[b] = a once b_b is matched to a_a, else 0; index 0 unused
-        self._owner = array("i", [0, 0])
-        # parts[a*(d-1) ... a*(d-1)+d-2] = partners of a_a once retired, else zeros
-        self._parts = array("i", [0] * (2 * (d - 1)))
+        self._owner = array("i")
+        # parts[a*(d-1) ... a*(d-1)+d-2] = partners of a_a once retired, else zeros.
+        # Both start empty and grow on demand; a slot past the end reads as 0.
+        self._parts = array("i")
         self._fans: dict[int, tuple[int, ...]] = {}
         self._leaf_root: dict[int, int] = {}
-        self._sanity_check_host(h)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -259,7 +261,8 @@ class HaremMatcher:
         the target sits decides how, and whether the chain continues.
         """
         d = self.d
-        for _ in range(len(self._fans) + 2):
+        # Only a consumed fan continues the chain, and each fan is consumed once.
+        while True:
             if target in self._leaf_root:
                 # The target is reserved as a fan leaf: consume that fan
                 # whole, then keep going with its root in the target seat.
@@ -294,7 +297,6 @@ class HaremMatcher:
             self._commit(center, tuple(sorted([target] + mine[:d - 2])))
             self._reserve_fan(holder, tuple(b for b in parts[holder] if b != target))
             return
-        raise RuntimeError("forced chain failed to terminate within the fan budget")
 
     def _forced_step(self) -> None:
         """One run_step on behalf of a caller, unless the step budget is spent."""
@@ -446,42 +448,30 @@ class HaremMatcher:
         return m
 
 
-def first_repeat(f: Callable[[int], int], n: int, limit: int) -> tuple[list[int], int | None]:
+def controlled_orbit(f: Callable[[int], int], n: int) -> tuple[list[int], int]:
     """n's f-orbit up to its first repeat, and the index where the cycle starts.
 
-    f is called at most limit times, along the orbit in order, so a lazy f
-    settles exactly what the walk reads. The orbit holds distinct points;
-    f of its last point is orbit[first]. first is None when no point
-    repeats within limit calls, and the orbit then holds limit + 1 points.
+    The package's one f-orbit walk, and the one check of cycle control: the
+    orbit enters its cycle within 2n steps, and the cycle's period is at most
+    max(2, n), so the repeat comes within 3n + 2 calls of f. A violation
+    raises CycleControlError instead of walking on. f is called along the
+    orbit in order, so a lazy f settles exactly what the walk reads. The
+    orbit holds distinct points; f of its last point is orbit[first].
     """
     orbit = [n]
     index = {n: 0}
     x = n
-    for _ in range(limit):
+    for _ in range(3 * n + 2):
         x = f(x)
         first = index.get(x)
         if first is not None:
+            period = len(orbit) - first
+            if first > 2 * n or period > max(2, n):
+                raise CycleControlError(f"cycle control broken at {n}: entry {first}, period {period}")
             return orbit, first
         index[x] = len(orbit)
         orbit.append(x)
-    return orbit, None
-
-
-def controlled_orbit(f: Callable[[int], int], n: int) -> tuple[list[int], int]:
-    """n's f-orbit up to its first repeat, and the index where the cycle starts.
-
-    The one check of cycle control: the orbit enters its cycle within 2n
-    steps, and the cycle's period is at most max(2, n), so the repeat comes
-    within 3n + 2 calls of f. A violation raises CycleControlError instead
-    of walking on.
-    """
-    orbit, first = first_repeat(f, n, 3 * n + 2)
-    if first is None:
-        raise CycleControlError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
-    period = len(orbit) - first
-    if first > 2 * n or period > max(2, n):
-        raise CycleControlError(f"cycle control broken at {n}: entry {first}, period {period}")
-    return orbit, first
+    raise CycleControlError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
 
 
 @dataclass

@@ -88,10 +88,13 @@ def test_forest_requires_d_at_least_three(tree6):
         ForestFunction(tree6, 2)
 
 
+PERIODIC = ("root", "image", "cycle")
+
+
 def test_periodicity_and_transient_preimages(forest63):
     f = forest63
-    assert f.is_periodic(1) and f.is_periodic(2)
-    assert not f.is_periodic(3) and not f.is_periodic(8)
+    assert f.classify(1).kind == "root" and f.classify(2).kind == "image"
+    assert f.classify(3).kind not in PERIODIC and f.classify(8).kind not in PERIODIC
     assert f.f_preimages(1) == (2, 3)
     assert f.least_transient_preimage(1) == 3
     assert f.least_transient_preimage(3) == 13
@@ -99,42 +102,49 @@ def test_periodicity_and_transient_preimages(forest63):
     assert f.least_transient_preimage(8) == 38
 
 
-def test_is_periodic_against_bounded_walk(tree7):
-    """The first-repeat walk agrees with the plain max(2, n) walk and forces
-    the same matcher steps, on cold tree7 d=4 forests."""
-    fast, plain = ForestFunction(tree7, 4), ForestFunction(tree7, 4)
+def per_preimage_ltp(forest):
+    """The least transient preimage as first defined: a bounded first-repeat
+    walk from each preimage, periodic when the orbit returns to its start."""
 
-    def bounded_walk(n):
+    def first_repeat(f, n, limit):
+        orbit = [n]
+        index = {n: 0}
         x = n
-        for _ in range(max(2, n)):
-            x = plain.f(x)
-            if x == n:
-                return True
-        return False
+        for _ in range(limit):
+            x = f(x)
+            first = index.get(x)
+            if first is not None:
+                return orbit, first
+            index[x] = len(orbit)
+            orbit.append(x)
+        return orbit, None
 
-    verdicts = []
-    for forest, decide in ((fast, fast.is_periodic), (plain, bounded_walk)):
+    def is_periodic(n):
+        return first_repeat(forest.f, n, max(2, n))[1] == 0
+
+    def least_transient_preimage(n):
+        options = [p for p in forest.f_preimages(n) if not is_periodic(p)]
+        if not options:
+            raise RuntimeError(f"{n} has no transient preimage; needs d >= 3")
+        return min(options)
+
+    return least_transient_preimage
+
+
+@pytest.mark.parametrize("host, d, steps", [("tree7", 4, 548), ("tree6", 3, 437)])
+def test_least_transient_preimage_against_per_preimage_walks(request, host, d, steps):
+    """Walking n's own orbit once gives the per-preimage answer, and forces
+    the same matcher steps, on cold forests."""
+    entourage = request.getfixturevalue(host)
+    fast, plain = ForestFunction(entourage, d), ForestFunction(entourage, d)
+    answers = []
+    for forest, ltp in ((fast, fast.least_transient_preimage), (plain, per_preimage_ltp(plain))):
         queries = list(range(1, 301))
         queries += [p for a in range(1, 101) for p in forest.f_preimages(a)]
-        verdicts.append([decide(n) for n in queries])
-    assert len(verdicts[0]) == 600
-    assert verdicts[0] == verdicts[1]
-    assert sum(verdicts[0]) == 242
-    assert fast.matcher.step == plain.matcher.step == 273
-
-
-def test_is_periodic_costs_the_orbit_not_n(tree7):
-    forest = ForestFunction(tree7, 4)
-    calls = []
-    f = forest.f
-    forest.f = lambda x: calls.append(x) or f(x)
-    assert not forest.is_periodic(3111)
-    orbit, x = [3111], f(3111)
-    while x not in orbit:
-        orbit.append(x)
-        x = f(x)
-    # one f call per orbit point up to the first repeat, against max(2, n)
-    assert len(calls) <= len(orbit) + 1
+        answers.append([ltp(n) for n in queries])
+    assert len(answers[0]) == 300 + 100 * (d - 1)
+    assert answers[0] == answers[1]
+    assert fast.matcher.step == plain.matcher.step == steps
 
 
 def test_classification_pins(forest63):
@@ -215,9 +225,9 @@ def test_rays_step_down_and_stay_transient(forest63):
         prev = anchor
         for x in ray(f, anchor, 4):
             assert f.f(x) == prev
-            assert not f.is_periodic(x)
+            assert f.classify(x).kind not in PERIODIC
             # least-ness among the transient preimages of the level below
-            options = [p for p in f.f_preimages(prev) if not f.is_periodic(p)]
+            options = [p for p in f.f_preimages(prev) if f.classify(p).kind not in PERIODIC]
             assert x == min(options)
             prev = x
 

@@ -495,6 +495,32 @@ def test_restore_refuses_numbers_from_2_to_the_31_before_growing():
     assert all(r == "corrupt checkpoint: vertex number 2147483648 is not in 1..2^31-1" for r in refusals)
 
 
+def test_host_check_comes_before_any_allocation(tmp_path):
+    # d = 300,000,000 is far past any tree7 degree. State sized by d before the
+    # host check would ask for gigabytes, so under the child's 1 GB address-space
+    # cap both refusals would end in MemoryError instead.
+    (tmp_path / "descriptor.json").write_text('{"kind": "regular_tree", "r": 7}')
+    script = (
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 10**9 if hard == resource.RLIM_INFINITY else min(10**9, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from hallforest import HallWitness, HaremMatcher, TreeEntourage, double_graph\n"
+        "from hallforest.cli import main\n"
+        "cp = {'d': 300000000, 'step': 0, 'committed': [], 'removed_a': [], 'removed_b': [], 'fans': []}\n"
+        "try:\n"
+        "    HaremMatcher.restore(double_graph(TreeEntourage(7)), HallWitness.identity(), cp)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        f"main(['match', '--space', {str(tmp_path / 'descriptor.json')!r}, '--d', '300000000',\n"
+        f"      '--out', {str(tmp_path)!r}])\n")
+    run = run_python(script)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout.startswith("A-vertex 1 has degree 7 < 300000001;")
+    assert "A-vertex 1 has degree 7 < 300000001;" in run.stderr
+    assert "MemoryError" not in run.stderr
+
+
 def test_close_cycle_consumes_fans_on_its_chain(tree7):
     """The chain's fan branches, and the balls' fan-root filter, from fans
     restored at step 0 on tree7, d=4.
