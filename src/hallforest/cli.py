@@ -96,7 +96,7 @@ def _random_connected_subset(ent: Entourage, rng: random.Random, size: int, span
     return blob
 
 
-# -- report blocks: one per check, shared by every command that runs it -------
+# -- report blocks of the cli's own checks; verify_* return theirs ------------
 
 
 def _expansion_samples(ent: Entourage, factor: int, seed: int, per_size: int = 12) -> dict:
@@ -115,25 +115,6 @@ def _expansion_samples(ent: Entourage, factor: int, seed: int, per_size: int = 1
                     "required": res.required,
                 })
     return {"factor": factor, "samples": samples, "ok": not failures, "failures": failures}
-
-
-def _cycle_control_block(matcher: HaremMatcher, n: int) -> dict:
-    cc = verify_cycle_control(matcher.f, n)
-    return {"ok": cc.ok, "upto": cc.upto, "periodic": len(cc.periodic),
-            "transient": len(cc.transient), "violations": cc.violations}
-
-
-def _forest_block(forest: ForestFunction, n: int) -> dict:
-    rep = verify_forest(forest, n)
-    return {"ok": rep.ok, "upto": rep.upto, "preimage_upto": rep.preimage_upto,
-            "violations": rep.violations}
-
-
-def _wobbling_block(pair: WobblingPair, word_len: int, upto: int) -> dict:
-    rep = verify_free_semiregular(pair, word_len, upto)
-    return {"ok": rep.ok, "upto": rep.upto, "word_len": rep.word_len,
-            "words_checked": rep.words_checked, "points_checked": rep.points_checked,
-            "violations": rep.violations}
 
 
 def _reflected_block(matcher: HaremMatcher, n: int) -> dict:
@@ -171,7 +152,7 @@ def cmd_match(args, descriptor: dict, ent: Entourage) -> int:
                (f'"a{a}" -- "b{b}" [color=red, penwidth=2]' for a, b in pairs))
     _write(out / "checkpoint.json", matcher.checkpoint_json())
     checks = {
-        "cycle_control": _cycle_control_block(matcher, args.n),
+        "cycle_control": verify_cycle_control(matcher.f, args.n),
         "reflected": _reflected_block(matcher, args.n),
         # the matching itself only needs one spare neighbor per point beyond
         # degree, hence the d+1 expansion level here
@@ -184,7 +165,7 @@ def cmd_match(args, descriptor: dict, ent: Entourage) -> int:
 def cmd_forest(args, descriptor: dict, ent: Entourage) -> int:
     out = Path(args.out)
     forest = _build(ForestFunction, ent, args.d)
-    checks = {"forest": _forest_block(forest, args.n),
+    checks = {"forest": verify_forest(forest, args.n),
               "expansion": _expansion_samples(ent, args.d + 2, args.seed)}
     edges = [[v, forest.f_star(v)] for v in range(1, args.n + 1)]
     roots = list(forest.roots_up_to(args.n))
@@ -198,7 +179,7 @@ def cmd_forest(args, descriptor: dict, ent: Entourage) -> int:
 def cmd_wobble(args, descriptor: dict, ent: Entourage) -> int:
     out = Path(args.out)
     pair = WobblingPair(EdgeLabeling(_build(ForestFunction, ent, 4)))
-    checks = {"wobbling": _wobbling_block(pair, args.word_len, args.n),
+    checks = {"wobbling": verify_free_semiregular(pair, args.word_len, args.n),
               "expansion": _expansion_samples(ent, 6, args.seed)}
     labels = {str(v): list(pair.labeling.directions(v)) for v in range(1, args.n + 1)}
     _write_json(out / "wobble.json", labels)
@@ -214,14 +195,14 @@ def cmd_verify(args, descriptor: dict, ent: Entourage) -> int:
     out = Path(args.out)
     forest = _build(ForestFunction, ent, args.d)
     checks = {
-        "cycle_control": _cycle_control_block(forest.matcher, args.n),
-        "forest": _forest_block(forest, args.n),
+        "cycle_control": verify_cycle_control(forest.matcher.f, args.n),
+        "forest": verify_forest(forest, args.n),
         "expansion_match": _expansion_samples(ent, args.d + 1, args.seed),
         "expansion_forest": _expansion_samples(ent, args.d + 2, args.seed + 1),
     }
     if args.d == 4:
         pair = WobblingPair(EdgeLabeling(forest))
-        checks["wobbling"] = _wobbling_block(pair, args.word_len, min(args.n, 24))
+        checks["wobbling"] = verify_free_semiregular(pair, args.word_len, min(args.n, 24))
     else:
         checks["wobbling"] = {"ok": True, "skipped": f"needs d=4, ran with d={args.d}"}
     checks["reflected"] = _reflected_block(forest.matcher, args.n)

@@ -19,7 +19,7 @@ direction labeling downstream leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import SymmetricDoubleGraph
@@ -302,20 +302,8 @@ class ForestFunction:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass
-class ForestReport:
-    upto: int
-    d: int
-    preimage_upto: int
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None = None) -> ForestReport:
-    """Check the forest invariants on 1..upto.
+def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None = None) -> dict:
+    """The forest report block: the forest invariants checked on 1..upto.
 
     Fixed-point freeness; acyclicity by certified escape (every f*-orbit
     reaches the strictly climbing part of a root ray without revisiting
@@ -324,16 +312,15 @@ def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None =
     on a prefix.
     """
     pre_upto = preimage_upto if preimage_upto is not None else min(upto, 60)
-    report = ForestReport(upto=upto, d=forest.d, preimage_upto=pre_upto)
+    violations = []
     related = forest.entourage.related
     for n in range(1, upto + 1):
         if forest.f_star(n) == n:
-            report.violations.append(f"forest step fixes {n}")
+            violations.append(f"forest step fixes {n}")
         hops = forest.f_star_path(n)
         for p, q in zip(hops, hops[1:]):
             if not related(p, q):
-                report.violations.append(
-                    f"hop {p}->{q} realizing the step at {n} leaves the entourage")
+                violations.append(f"hop {p}->{q} realizing the step at {n} leaves the entourage")
         seen = {n}
         x = n
         budget = max(3 * n, 40)
@@ -342,15 +329,15 @@ def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None =
                 break  # from here the orbit climbs a ray, heights strictly grow
             x = forest.f_star(x)
             if x in seen:
-                report.violations.append(f"forest orbit of {n} revisits {x}")
+                violations.append(f"forest orbit of {n} revisits {x}")
                 break
             seen.add(x)
         else:
-            report.violations.append(
+            violations.append(
                 f"forest orbit of {n} shows no certified climb within {budget} steps")
     for n in range(1, pre_upto + 1):
         pre = forest.f_star_preimages(n)
         if len(pre) != forest.d - 1:
-            report.violations.append(
-                f"{n} has {len(pre)} forest preimages, expected {forest.d - 1}")
-    return report
+            violations.append(f"{n} has {len(pre)} forest preimages, expected {forest.d - 1}")
+    return {"ok": not violations, "upto": upto, "preimage_upto": pre_upto,
+            "violations": violations}

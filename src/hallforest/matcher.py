@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from typing import Callable, Sequence
 
@@ -474,36 +473,21 @@ def controlled_orbit(f: Callable[[int], int], n: int) -> tuple[list[int], int]:
     raise CycleControlError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
 
 
-@dataclass
-class CycleControlReport:
-    """Outcome of verify_cycle_control.
-
-    periodic maps each periodic start to its minimal period; transient maps
-    each non-periodic start to (k, l) with f^(k+l)(n) = f^k(n), k minimal.
-    """
-
-    upto: int
-    periodic: dict[int, int] = field(default_factory=dict)
-    transient: dict[int, tuple[int, int]] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_cycle_control(f: Callable[[int], int], upto: int) -> CycleControlReport:
-    """Walk every orbit with start 2..upto through controlled_orbit, recording
-    each start as periodic, as transient or as a violation of cycle control."""
-    report = CycleControlReport(upto=upto)
+def verify_cycle_control(f: Callable[[int], int], upto: int) -> dict:
+    """The cycle_control report block: walk every orbit with start 2..upto
+    through controlled_orbit, counting the periodic and the transient starts
+    and listing each violation of cycle control."""
+    periodic = transient = 0
+    violations = []
     for n in range(2, upto + 1):
         try:
-            orbit, k = controlled_orbit(f, n)
+            _, k = controlled_orbit(f, n)
         except CycleControlError as exc:
-            report.violations.append(str(exc))
+            violations.append(str(exc))
             continue
         if k == 0:
-            report.periodic[n] = len(orbit)
+            periodic += 1
         else:
-            report.transient[n] = (k, len(orbit) - k)
-    return report
+            transient += 1
+    return {"ok": not violations, "upto": upto, "periodic": periodic,
+            "transient": transient, "violations": violations}

@@ -19,8 +19,6 @@ freely. WobblingPair.fixes alone decides whether a word fixes a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .forest import ForestFunction
 
 DIRS = ("a+", "a-", "b+", "b-")
@@ -133,39 +131,27 @@ def reduced_words(length: int) -> list[tuple[str, ...]]:
     return words
 
 
-@dataclass
-class WobblingReport:
-    upto: int
-    word_len: int
-    words_checked: int = 0
-    points_checked: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_free_semiregular(pair: WobblingPair, word_len: int, upto: int) -> WobblingReport:
-    """Inverse consistency, edge displacement, and freeness on a range.
+def verify_free_semiregular(pair: WobblingPair, word_len: int, upto: int) -> dict:
+    """The wobbling report block: inverse consistency, edge displacement,
+    and freeness on a range.
 
     Freeness is tested exhaustively: every nonempty reduced word of length
     at most word_len must move every point in 1..upto (WobblingPair.fixes).
     Words are tried in canonical order and points ascending, so a failure
     (or budget exhaustion in the matcher) happens at a reproducible spot.
     """
-    report = WobblingReport(upto=upto, word_len=word_len)
+    violations = []
     forest = pair.forest
     related = forest.entourage.related
     for n in range(1, upto + 1):
         if pair.alpha_inv(pair.alpha(n)) != n or pair.alpha(pair.alpha_inv(n)) != n:
-            report.violations.append(f"alpha is not inverted by alpha_inv at {n}")
+            violations.append(f"alpha is not inverted by alpha_inv at {n}")
         if pair.beta_inv(pair.beta(n)) != n or pair.beta(pair.beta_inv(n)) != n:
-            report.violations.append(f"beta is not inverted by beta_inv at {n}")
+            violations.append(f"beta is not inverted by beta_inv at {n}")
         for token in ("a+", "b+"):
             w = pair.move(token, n)
             if w not in forest.forest_neighbors(n):
-                report.violations.append(f"{token} at {n} leaves the forest")
+                violations.append(f"{token} at {n} leaves the forest")
                 continue
             # each forest edge is one or two entourage hops; find them from
             # whichever endpoint the forest step maps across the edge
@@ -175,17 +161,16 @@ def verify_free_semiregular(pair: WobblingPair, word_len: int, upto: int) -> Wob
             elif forest.f_star(w) == n:
                 hops = forest.f_star_path(w)
             if hops is None:
-                report.violations.append(f"edge {n}-{w} is not a forest step either way")
+                violations.append(f"edge {n}-{w} is not a forest step either way")
             else:
                 for p, q in zip(hops, hops[1:]):
                     if not related(p, q):
-                        report.violations.append(f"hop {p}->{q} of edge {n}-{w} leaves the entourage")
-    for length in range(1, word_len + 1):
-        for word in reduced_words(length):
-            report.words_checked += 1
-            for n in range(1, upto + 1):
-                report.points_checked += 1
-                if pair.fixes(word, n):
-                    report.violations.append(
-                        f"reduced word {''.join(word)} fixes {n}")
-    return report
+                        violations.append(f"hop {p}->{q} of edge {n}-{w} leaves the entourage")
+    words = [word for length in range(1, word_len + 1) for word in reduced_words(length)]
+    for word in words:
+        for n in range(1, upto + 1):
+            if pair.fixes(word, n):
+                violations.append(f"reduced word {''.join(word)} fixes {n}")
+    return {"ok": not violations, "upto": upto, "word_len": word_len,
+            "words_checked": len(words), "points_checked": len(words) * upto,
+            "violations": violations}

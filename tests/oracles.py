@@ -8,6 +8,8 @@ finds the lexicographically least perfect (1,k)-matching outright; it exists
 exactly when the harem condition holds, which makes the two functions
 independent oracles for one another. oracle_double_ball is the textbook
 alternating BFS ball in the bipartite double of an explicit adjacency.
+plain_first_repeat walks an orbit to its first repeat, the reference for
+the cycle-control bounds.
 
 Nothing here imports hallforest (tests/test_hall.py checks that), so the
 references share no code with what they check.
@@ -222,3 +224,19 @@ def oracle_double_ball(adj: dict[int, list[int]], center: int, radius: int):
     edges = sorted((a, b) for a in a_set for b in adj[a] if b in b_look)
     boundary = sorted(v for (s, v), r in dist.items() if s == "B" and r == radius)
     return a_set, b_set, edges, boundary
+
+
+def plain_first_repeat(f: Callable[[int], int], n: int, calls: int) -> tuple[int, int]:
+    """(entry, period) of n's f-orbit: where its cycle starts and its length.
+
+    Walks the orbit to its first repeat, calling f at most calls times, and
+    fails the test when no repeat comes within them.
+    """
+    seen = {n: 0}
+    x = n
+    for _ in range(calls):
+        x = f(x)
+        if x in seen:
+            return seen[x], len(seen) - seen[x]
+        seen[x] = len(seen)
+    raise AssertionError(f"the orbit of {n} does not repeat within {calls} calls of f")

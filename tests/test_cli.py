@@ -7,7 +7,16 @@ import json
 
 import pytest
 
-from hallforest import cli
+from hallforest import (
+    EdgeLabeling,
+    ForestFunction,
+    TreeEntourage,
+    WobblingPair,
+    cli,
+    verify_cycle_control,
+    verify_forest,
+    verify_free_semiregular,
+)
 
 
 def run(*args) -> int:
@@ -100,6 +109,18 @@ def test_verify_reruns_are_byte_identical(tree7_space, tmp_path):
     assert set(report["checks"]) == {
         "cycle_control", "forest", "expansion_match", "expansion_forest",
         "wobbling", "reflected"}
+
+
+def test_each_check_returns_its_report_block(tree7_space, tmp_path):
+    # cmd_verify stores each check's return value in report.json unchanged
+    assert run("verify", "--space", tree7_space, "--d", 4, "--n", 12,
+               "--word-len", 1, "--out", tmp_path / "v") == 0
+    checks = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
+    forest = ForestFunction(TreeEntourage(7), 4)
+    assert verify_cycle_control(forest.matcher.f, 12) == checks["cycle_control"]
+    assert verify_forest(forest, 12) == checks["forest"]
+    pair = WobblingPair(EdgeLabeling(forest))
+    assert verify_free_semiregular(pair, 1, 12) == checks["wobbling"]
 
 
 # sha256 of every file each run writes, recorded before the CLI was reduced

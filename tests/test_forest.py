@@ -357,22 +357,22 @@ def test_same_tree_is_an_equivalence(forest63):
 
 def test_verify_forest_passes(forest63):
     report = verify_forest(forest63, 80)
-    assert report.ok, report.violations
-    assert report.upto == 80 and report.preimage_upto == 60 and report.d == 3
+    assert report["ok"], report["violations"]
+    assert report["upto"] == 80 and report["preimage_upto"] == 60
 
 
 def test_verify_forest_passes_on_wider_degree(tree7):
     forest = ForestFunction(tree7, 4)
     report = verify_forest(forest, 30, preimage_upto=20)
-    assert report.ok, report.violations
+    assert report["ok"], report["violations"]
 
 
 def test_verify_forest_flags_fixed_points(tree6):
     forest = ForestFunction(tree6, 3)
     forest._star[5] = 5  # poison the memo on a throwaway instance
     report = verify_forest(forest, 5, preimage_upto=0)
-    assert not report.ok
-    assert any("fixes 5" in v for v in report.violations)
+    assert not report["ok"]
+    assert any("fixes 5" in v for v in report["violations"])
 
 
 # -- the forest artifact the CLI writes ------------------------------------------

@@ -26,6 +26,8 @@ from hallforest import (
     verify_cycle_control,
 )
 
+from oracles import plain_first_repeat
+
 
 def fresh(entourage, d, **kw):
     return HaremMatcher(double_graph(entourage), d, HallWitness.identity(), **kw)
@@ -171,21 +173,24 @@ def test_fan_count_and_reflectedness_per_step(tree6):
 
 def test_cycle_control_on_tree_host(m80):
     report = verify_cycle_control(m80.f, 60)
-    assert report.ok
-    assert set(report.periodic) | set(report.transient) == set(range(2, 61))
-    for n, period in report.periodic.items():
-        assert period <= max(2, n)
-    for n, (k, loop) in report.transient.items():
-        # entry within 2n - 1: one inside the bound verify_cycle_control enforces
-        assert 1 <= k <= 2 * n - 1 and 1 <= loop <= n
+    assert report["ok"]
+    walks = {n: plain_first_repeat(m80.f, n, 3 * n + 2) for n in range(2, 61)}
+    assert report["periodic"] == sum(k == 0 for k, _ in walks.values())
+    assert report["periodic"] + report["transient"] == 59
+    for n, (k, loop) in walks.items():
+        if k == 0:
+            assert loop <= max(2, n)
+        else:
+            # entry within 2n - 1: one inside the bound verify_cycle_control enforces
+            assert k <= 2 * n - 1 and 1 <= loop <= n
 
 
 def test_cycle_control_flags_bad_function():
     report = verify_cycle_control(lambda n: n, 5)  # every point is a fixed point...
-    assert report.ok  # ...which is period 1, within every bound
+    assert report["ok"]  # ...which is period 1, within every bound
     shifted = verify_cycle_control(lambda n: n + 1, 5)  # never repeats
-    assert not shifted.ok
-    assert any("no repeat" in v for v in shifted.violations)
+    assert not shifted["ok"]
+    assert any("no repeat" in v for v in shifted["violations"])
 
 
 def connected_subsets(section, seeds, max_size):

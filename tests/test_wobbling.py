@@ -141,9 +141,22 @@ def test_reduced_words_counts_and_order():
 
 def test_verify_free_semiregular_report(pair):
     report = verify_free_semiregular(pair, 2, 24)
-    assert report.ok, report.violations
-    assert report.words_checked == 16
-    assert report.points_checked == 16 * 24
+    assert report["ok"], report["violations"]
+    assert report["words_checked"] == 16
+    assert report["points_checked"] == 16 * 24
+
+
+def test_verify_reports_a_labeling_that_alpha_inv_does_not_invert(tree7):
+    pair = WobblingPair(EdgeLabeling(ForestFunction(tree7, 4)))
+    dirs = pair.labeling._dirs  # a throwaway instance: label 1..6, then corrupt 1
+    for n in range(1, 7):
+        pair.labeling.directions(n)
+    a_plus, a_minus, b_plus, b_minus = dirs[1]
+    dirs[1] = (a_minus, a_plus, b_plus, b_minus)
+    report = verify_free_semiregular(pair, 1, 6)
+    assert not report["ok"]
+    # 2 and 3 are 1's alpha neighbors, so the swap breaks them too
+    assert report["violations"] == [f"alpha is not inverted by alpha_inv at {n}" for n in (1, 2, 3)]
 
 
 def test_verify_reaches_word_length_five_at_word_length_two_cost(tree7):
@@ -151,9 +164,9 @@ def test_verify_reaches_word_length_five_at_word_length_two_cost(tree7):
     # so length 5 forces the 4,653 steps that length 2 forces
     forest = ForestFunction(tree7, 4, step_limit=5000)
     report = verify_free_semiregular(WobblingPair(EdgeLabeling(forest)), 5, 24)
-    assert report.ok, report.violations
-    assert report.words_checked == 484
-    assert report.points_checked == 484 * 24
+    assert report["ok"], report["violations"]
+    assert report["words_checked"] == 484
+    assert report["points_checked"] == 484 * 24
     assert forest.matcher.step == 4653
 
 
