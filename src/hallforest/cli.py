@@ -99,12 +99,12 @@ def _random_connected_subset(ent: Entourage, rng: random.Random, size: int, span
 # -- report blocks of the cli's own checks; verify_* return theirs ------------
 
 
-def _expansion_samples(ent: Entourage, factor: int, seed: int, per_size: int = 12) -> dict:
+def _expansion_samples(ent: Entourage, factor: int, seed: int) -> dict:
     rng = random.Random(seed)
     failures = []
     samples = 0
     for size in range(1, 9):
-        for _ in range(per_size):
+        for _ in range(12):
             blob = _random_connected_subset(ent, rng, size, span=120)
             samples += 1
             res = check_expansion(ent, blob, factor)

@@ -30,19 +30,20 @@ from .matcher import HaremMatcher, controlled_orbit
 class Entourage:
     """A symmetric reflexive relation on positive integers with finite sections.
 
-    section(v) lists everything related to v, v itself included, ascending.
+    A space defines neighbors(v); section and related derive from it.
     """
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Everything related to v except v itself, ascending: the diagonal-free section."""
+        raise NotImplementedError
+
+    def section(self, v: int) -> tuple[int, ...]:
+        """Everything related to v, v itself included, ascending."""
+        return tuple(sorted(self.neighbors(v) + (v,)))
 
     def related(self, x: int, y: int) -> bool:
         """Membership in the diagonal-free part: x and y are distinct and related."""
-        return x != y and y in self.section(x)
-
-    def section(self, v: int) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """section(v) without v itself, ascending: the diagonal-free section."""
-        return tuple(w for w in self.section(v) if w != v)
+        return y in self.neighbors(x)
 
 
 class TreeEntourage(Entourage):
@@ -72,15 +73,6 @@ class TreeEntourage(Entourage):
             return tuple(range(2, r + 2))
         first = r + 2 + (v - 2) * (r - 1)
         return tuple(range(first, first + r - 1))
-
-    def related(self, x: int, y: int) -> bool:
-        # tree neighbors are parent and child, and no vertex is its own parent
-        return self.parent(x) == y or self.parent(y) == x
-
-    def section(self, v: int) -> tuple[int, ...]:
-        p = self.parent(v)
-        around = (v,) + self.children(v) if p is None else (p, v) + self.children(v)
-        return tuple(sorted(around))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         # parent < v < children, so parent-then-children is already ascending
@@ -189,25 +181,15 @@ class ForestFunction:
         for v in cycle:
             kind = "root" if v == root else ("image" if v == image else "cycle")
             self._class.setdefault(v, Classification(kind, 0, root))
-        if first > 0:
-            entry = orbit[first]
-            # A transient point lies on a ray exactly when its walk enters
-            # the cycle at that ray's anchor and every step of the walk was
-            # the least transient preimage of the next.
-            anchored = "root_ray" if entry == root else (
-                "image_ray" if entry == image else None)
-            broken = 0
-            if anchored:
-                for i in range(first, 0, -1):
-                    if self.least_transient_preimage(orbit[i]) != orbit[i - 1]:
-                        broken = i
-                        break
-            for i in range(first - 1, -1, -1):
-                if anchored and i >= broken:
-                    cls = Classification(anchored, first - i, root)
-                else:
-                    cls = Classification("plain", 0, root)
-                self._class.setdefault(orbit[i], cls)
+        # A transient point lies on a ray exactly when its walk enters the
+        # cycle at that ray's anchor and every step of the walk from the
+        # point on was the least transient preimage of the next.
+        anchored = "root_ray" if cycle[0] == root else ("image_ray" if cycle[0] == image else None)
+        for i in range(first - 1, -1, -1):
+            if anchored and self.least_transient_preimage(orbit[i + 1]) != orbit[i]:
+                anchored = None
+            height = first - i if anchored else 0
+            self._class.setdefault(orbit[i], Classification(anchored or "plain", height, root))
         return self._class[u]
 
     # -- the forest step -----------------------------------------------------
@@ -302,16 +284,16 @@ class ForestFunction:
 # -- verification ------------------------------------------------------------
 
 
-def verify_forest(forest: ForestFunction, upto: int, preimage_upto: int | None = None) -> dict:
+def verify_forest(forest: ForestFunction, upto: int) -> dict:
     """The forest report block: the forest invariants checked on 1..upto.
 
     Fixed-point freeness; acyclicity by certified escape (every f*-orbit
     reaches the strictly climbing part of a root ray without revisiting
     anything, after which heights only grow); every forest edge realized
     inside the entourage composed with itself; and d-1 preimages per point
-    on a prefix.
+    on 1..min(upto, 60).
     """
-    pre_upto = preimage_upto if preimage_upto is not None else min(upto, 60)
+    pre_upto = min(upto, 60)
     violations = []
     related = forest.entourage.related
     for n in range(1, upto + 1):

@@ -69,10 +69,10 @@ class HaremMatcher:
 
     graph must be symmetric and diagonal-free in the sense of
     SymmetricDoubleGraph; h is the host's Hall witness, read only by the
-    sanity check of the host; d >= 3. Every step solves a relaxed matching
-    on a radius-3 ball. step_limit, when set, bounds run_step calls made on
-    behalf of lazy queries; exceeding it raises MatcherBudgetError instead
-    of grinding on.
+    sanity check of the host; d is an int, at least 3. Every step solves a
+    relaxed matching on a radius-3 ball. step_limit, when set, bounds
+    run_step calls made on behalf of lazy queries; exceeding it raises
+    MatcherBudgetError instead of grinding on.
     """
 
     def __init__(
@@ -83,6 +83,8 @@ class HaremMatcher:
         step_limit: int | None = None,
         check: bool = False,
     ):
+        if type(d) is not int:
+            raise TypeError(f"d must be an int, got {d!r}")
         if d < 3:
             raise ValueError("d must be at least 3")
         if h(0) != 0:
@@ -367,11 +369,12 @@ class HaremMatcher:
     ) -> "HaremMatcher":
         """Rebuild a matcher from checkpoint(); ValueError on a corrupt one.
 
-        Fans go through _reserve_fan's ledger checks, and the mirror rule is
-        checked: every retired A-number's B-copy is committed. Committed pairs
-        are recorded without an adjacency lookup, which would cost one
-        section per retired vertex; check=True refuses a non-edge. Values are
-        not type-checked one by one: a missing key or a value of the wrong
+        Fans go through _reserve_fan's ledger checks, and two rules are
+        checked: every retired A-number's B-copy is committed (the mirror
+        rule), and step s has retired 1..s. Committed pairs are recorded
+        without an adjacency lookup, which would cost one section per
+        retired vertex; check=True refuses a non-edge. Values are not
+        type-checked one by one: a missing key or a value of the wrong
         type fails on its way in with KeyError or TypeError, and that failure
         is the ValueError's cause. JSON true, which equals 1, is refused as
         the step and as a vertex number.
@@ -439,6 +442,9 @@ class HaremMatcher:
                     m._reserve_fan(root, leaves)
             except AssertionError as exc:
                 raise ValueError(f"corrupt checkpoint: {exc}") from exc
+            # each step retires the least live A-vertex, so step s has retired 1..s
+            if step and (step > len(removed_a) or removed_a[step - 1] != step):
+                raise ValueError(f"corrupt checkpoint: step {step} has not retired 1..{step}")
             m.step = step
             # removed_a[i] - i is 1 along the run 1, 2, ..., k of retired numbers, then larger
             m._cursor = 1 + bisect_left(range(len(removed_a)), 2, key=lambda i: removed_a[i] - i)

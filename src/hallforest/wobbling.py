@@ -40,16 +40,11 @@ class EdgeLabeling:
         if v in memo:
             return memo[v]
         path = self.forest.path_to_root(v)
-        known = len(path) - 1
-        for j, u in enumerate(path):
-            if u in memo:
-                known = j
-                break
-        else:
-            root = path[-1]
-            nbrs = self.forest.forest_neighbors(root)
-            memo[root] = nbrs  # ascending neighbors take DIRS in order
-        for j in range(known, 0, -1):
+        root = path[-1]
+        if root not in memo:
+            memo[root] = self.forest.forest_neighbors(root)  # ascending neighbors take DIRS in order
+        # labelled vertices are closed under parents, so _assign returns at once down a labelled prefix
+        for j in range(len(path) - 1, 0, -1):
             self._assign(path[j], path[j - 1])
         return memo[v]
 

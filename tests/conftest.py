@@ -51,16 +51,15 @@ def bfs_tree_adjacency(r: int, max_vertex: int) -> dict[int, list[int]]:
 
 class ExplicitEntourage(Entourage):
     def __init__(self, pairs: Iterable[tuple[int, int]]):
-        sections: dict[int, set[int]] = {}
+        nbrs: dict[int, set[int]] = {}
         for x, y in pairs:
-            sections.setdefault(x, set()).add(y)
-            sections.setdefault(y, set()).add(x)
-        for v in sections:
-            sections[v].add(v)
-        self._sections = {v: tuple(sorted(s)) for v, s in sections.items()}
+            if x != y:  # the diagonal is implied; neighbors leaves it out
+                nbrs.setdefault(x, set()).add(y)
+                nbrs.setdefault(y, set()).add(x)
+        self._nbrs = {v: tuple(sorted(s)) for v, s in nbrs.items()}
 
-    def section(self, v: int) -> tuple[int, ...]:
-        return self._sections.get(v, (v,))
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self._nbrs.get(v, ())
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,9 @@ def forest63(tree6) -> ForestFunction:
 def test_tree_entourage_matches_bfs_oracle(tree7):
     adj = bfs_tree_adjacency(7, 4000)
     for v in range(1, 81):
+        assert tree7.neighbors(v) == tuple(sorted(adj[v]))
         assert tree7.section(v) == tuple(sorted(adj[v] + [v]))
+        assert [w for w in range(1, 401) if tree7.related(v, w)] == sorted(w for w in adj[v] if w <= 400)
         assert tree7.children(v) == tuple(w for w in adj[v] if w > v)
         parent = [w for w in adj[v] if w < v]
         assert tree7.parent(v) == (parent[0] if parent else None)
@@ -363,14 +365,14 @@ def test_verify_forest_passes(forest63):
 
 def test_verify_forest_passes_on_wider_degree(tree7):
     forest = ForestFunction(tree7, 4)
-    report = verify_forest(forest, 30, preimage_upto=20)
+    report = verify_forest(forest, 30)
     assert report["ok"], report["violations"]
 
 
 def test_verify_forest_flags_fixed_points(tree6):
     forest = ForestFunction(tree6, 3)
     forest._star[5] = 5  # poison the memo on a throwaway instance
-    report = verify_forest(forest, 5, preimage_upto=0)
+    report = verify_forest(forest, 5)
     assert not report["ok"]
     assert any("fixes 5" in v for v in report["violations"])
 

@@ -55,6 +55,10 @@ def test_initial_state(tree6):
 def test_rejects_small_d(tree6):
     with pytest.raises(ValueError):
         fresh(tree6, 2)
+    # a float d would fail only later, on the first step's slot arithmetic
+    for d in (4.0, 4.5):
+        with pytest.raises(TypeError, match="d must be an int"):
+            fresh(tree6, d)
 
 
 def test_rejects_diagonal_host():
@@ -327,6 +331,8 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
         dict(cp, fans=[{"root": 30}]),
         dict(cp, d="4"),
         dict(cp, d=4.0),
+        dict(empty, d=4.0),
+        dict(empty, d=4.5),
         dict(cp, committed=as_text, removed_a=sorted({a for a, _ in as_text}),
              removed_b=sorted(b for _, b in as_text)),
         dict(cp, fans=[{"root": "30", "leaves": ["180", "181", "182"]}]),
@@ -350,6 +356,20 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
         for check in (False, True):
             with pytest.raises(ValueError, match="corrupt checkpoint"):
                 HaremMatcher.restore(host, HallWitness.identity(), bad, check=check)
+
+
+def test_restore_refuses_a_step_that_has_not_retired_its_numbers(tree7):
+    # each step retires the least live A-vertex, so step s has retired 1..s;
+    # 20 steps on tree7 retired 1..21 and then 27
+    host = double_graph(tree7)
+    m = HaremMatcher(host, 4, HallWitness.identity())
+    m.advance_to_step(20)
+    cp = m.checkpoint()
+    assert cp["removed_a"][19:22] == [20, 21, 27] and len(cp["removed_a"]) == 32
+    for step in (22, 33, 1_000_000):
+        with pytest.raises(ValueError, match=f"corrupt checkpoint: step {step} has not retired"):
+            HaremMatcher.restore(host, HallWitness.identity(), dict(cp, step=step))
+    assert HaremMatcher.restore(host, HallWitness.identity(), cp).f(200) == m.f(200)
 
 
 def test_check_mode_guards_the_fan_ledger(tree7):
