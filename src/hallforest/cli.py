@@ -281,7 +281,12 @@ def main(argv=None) -> int:
     if args.command == "gen-tree":
         return args.fn(args)
     # every command past gen-tree reads a space; it is loaded once, here
-    return args.fn(args, *_load_space(args.space))
+    descriptor, ent = _load_space(args.space)
+    try:
+        return args.fn(args, descriptor, ent)
+    except MemoryError:
+        # such as the first ball of a tree whose degree runs to the hundred thousands
+        _fail("space cannot carry the construction: out of memory")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ direction labeling downstream leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
@@ -60,25 +59,13 @@ class TreeEntourage(Entourage):
             raise ValueError("regular tree degree must be at least 3")
         self.r = r
 
-    def parent(self, v: int) -> int | None:
-        if v == 1:
-            return None
-        if v <= self.r + 1:
-            return 1
-        return (v - self.r - 2) // (self.r - 1) + 2
-
-    def children(self, v: int) -> tuple[int, ...]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
         r = self.r
         if v == 1:
             return tuple(range(2, r + 2))
         first = r + 2 + (v - 2) * (r - 1)
-        return tuple(range(first, first + r - 1))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        # parent < v < children, so parent-then-children is already ascending
-        if v == 1:
-            return self.children(1)
-        return (self.parent(v),) + self.children(v)
+        # the parent, then the children: parent < v < children, so ascending
+        return ((v - r - 2) // (r - 1) + 2 if v > r + 1 else 1, *range(first, first + r - 1))
 
 
 def double_graph(entourage: Entourage) -> SymmetricDoubleGraph:
@@ -86,8 +73,7 @@ def double_graph(entourage: Entourage) -> SymmetricDoubleGraph:
     return SymmetricDoubleGraph(entourage.neighbors)
 
 
-@dataclass(frozen=True)
-class ExpansionCheck:
+class ExpansionCheck(NamedTuple):
     ok: bool
     subset_size: int
     image_size: int
@@ -103,8 +89,7 @@ def check_expansion(entourage: Entourage, subset: Iterable[int], factor: int) ->
     return ExpansionCheck(len(image) >= factor * len(f_set), len(f_set), len(image), factor * len(f_set))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Where a point sits relative to its tree's rewired cycle.
 
     kind is one of: root (minimum of its f-cycle), image (the root's

@@ -4,10 +4,11 @@ solve_relaxed is the workhorse the matcher runs on every ball of the
 incremental construction: every A-vertex gets exactly d partners, interior
 B-vertices get exactly one, and B-vertices on the cut boundary get at most
 one. It follows a fixed deterministic schedule (ascending orders
-everywhere, augmenting repairs when a greedy placement saturates) so that
-repeated runs produce identical matchings, and raises
-InfeasibleMatchingError with the blocking cut when the contract cannot be
-met. HallWitness is the host's Hall witness, which the matcher takes.
+everywhere, a greedy pass, and augmenting repairs of the whole ball when
+that pass misses) so that repeated runs produce identical matchings, and
+raises InfeasibleMatchingError with the blocking cut when the contract
+cannot be met. HallWitness is the host's Hall witness, which the matcher
+takes.
 
 The finite Hall theory behind it (exhaustive harem checks, brute-force
 (1,k)-matchings) serves only as a test reference, in tests/oracles.py.
@@ -15,18 +16,19 @@ The finite Hall theory behind it (exhaustive harem checks, brute-force
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 
-@dataclass(frozen=True)
 class HallWitness:
     """A total nondecreasing-style threshold function with h(0) = 0.
 
     Wraps a plain callable on nonnegative integers.
     """
 
-    fn: Callable[[int], int]
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[int], int]):
+        self.fn = fn
 
     def __call__(self, n: int) -> int:
         if n < 0:
@@ -61,30 +63,33 @@ def solve_relaxed(
     a_order: Sequence[int],
     section: Callable[[int], Sequence[int]],
     nbrs_of_b: dict[int, Sequence[int]],
-    live_b: Callable[[int], bool],
+    owner: Sequence[int],
+    reserved: Container[int],
     d: int,
 ) -> dict[int, list[int]]:
     """Deterministic core of the boundary-relaxed matching, one pass per ball.
 
-    Inputs: a_order lists the A-vertices, ascending. An A-vertex a may take
-    the B-vertices of its host section section(a) (ascending) that live_b
-    accepts: its usable section. The keys of nbrs_of_b are the interior
-    B-vertices, and nbrs_of_b[b] lists, ascending, the A-vertices of a_order
-    whose usable section holds b.
+    Inputs: a_order lists the A-vertices, ascending. A B-vertex b is live
+    when b >= len(owner) or owner[b] is 0, and b is not in reserved; the
+    matcher passes its owner array and its fan-leaf map, and this function
+    only reads them. An A-vertex a may take the live B-vertices of its host
+    section section(a) (ascending): its usable section. The keys of
+    nbrs_of_b are the interior B-vertices, and nbrs_of_b[b] lists,
+    ascending, the A-vertices of a_order whose usable section holds b.
 
     Contract: every a in a_order ends with exactly d partners drawn from its
     usable section; every interior b ends with exactly one owner; any other
     b ends with at most one. Interior B-vertices are placed first in
-    ascending order, then A-vertices are filled to d in ascending order;
-    both phases repair saturation with an ascending alternating-path search
-    and raise InfeasibleMatchingError (with the blocking cut) when no repair
-    exists.
+    ascending order, each with the first A-vertex of its list that has room,
+    then A-vertices are filled to d in ascending order, each with the first
+    unowned entries of its usable section. Phase 1 reads no section, and
+    phase 2 reads section(a) only when a still lacks partners on its turn.
 
-    Sections are read lazily. Phase 1 reads none: it places interior b
-    through nbrs_of_b, and place() recurses only into b already placed,
-    which are interior too. Phase 2 reads section(a) only when a still
-    lacks partners on its turn, tests liveness inline and stops at d. A
-    usable section is built as a list only when grab() walks it.
+    That greedy pass is the step an ascending alternating-path search takes
+    while it finds room. On the first miss this returns _repair_solve of
+    the whole ball, the search from scratch, which gives exactly the
+    partners, or the InfeasibleMatchingError with the blocking cut, that
+    repairing in place would give.
 
     Why a ball may pass A-sections as nbrs_of_b: the host is symmetric (a_x
     ~ b_y exactly when a_y ~ b_x), which the ball build already relies on
@@ -97,7 +102,54 @@ def solve_relaxed(
 
     Returns {a: sorted partner list}.
     """
-    owner: dict[int, int] = {}
+    parts: dict[int, list[int]] = {a: [] for a in a_order}
+    room = dict.fromkeys(a_order, d)
+    for b in sorted(nbrs_of_b):
+        for a in nbrs_of_b[b]:
+            left = room[a]
+            if left:
+                room[a] = left - 1
+                parts[a].append(b)
+                break
+        else:
+            return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
+    taken = set(nbrs_of_b)  # phase 1 placed every interior b
+    n_owner = len(owner)
+    for a in a_order:
+        left = room[a]
+        if left:
+            mine = parts[a]
+            for b in section(a):
+                if b not in taken and (b >= n_owner or not owner[b]) and b not in reserved:
+                    taken.add(b)
+                    mine.append(b)
+                    left -= 1
+                    if not left:
+                        break
+            else:
+                return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
+            if room[a] < d:
+                mine.sort()  # its interior partners came first
+    return parts
+
+
+def _repair_solve(
+    a_order: Sequence[int],
+    section: Callable[[int], Sequence[int]],
+    nbrs_of_b: dict[int, Sequence[int]],
+    owner: Sequence[int],
+    reserved: Container[int],
+    d: int,
+) -> dict[int, list[int]]:
+    """solve_relaxed's contract met by the repair search alone.
+
+    Places each interior b by place() and fills each A-vertex to d by
+    grab(), both starting from an empty visited set, and raises the
+    blocking cut when one finds no alternating path. A usable section is
+    built as a list only when grab() walks it.
+    """
+    n_owner = len(owner)
+    taken: dict[int, int] = {}
     parts: dict[int, list[int]] = {a: [] for a in a_order}
     usable: dict[int, list[int]] = {}
 
@@ -106,7 +158,7 @@ def solve_relaxed(
         for a in nbs:
             if len(parts[a]) < d and a not in visited:
                 visited.add(a)
-                owner[b] = a
+                taken[b] = a
                 parts[a].append(b)
                 return True
         for a in nbs:
@@ -116,7 +168,7 @@ def solve_relaxed(
             for b2 in tuple(parts[a]):
                 parts[a].remove(b2)
                 if place(b2, visited):
-                    owner[b] = a
+                    taken[b] = a
                     parts[a].append(b)
                     return True
                 parts[a].append(b2)
@@ -125,62 +177,43 @@ def solve_relaxed(
     def grab(a: int, visited: set[int]) -> bool:
         nbs = usable.get(a)
         if nbs is None:
-            nbs = usable[a] = [b for b in section(a) if live_b(b)]
+            nbs = usable[a] = [b for b in section(a)
+                               if (b >= n_owner or not owner[b]) and b not in reserved]
         for b in nbs:
-            if b not in owner and b not in visited:
+            if b not in taken and b not in visited:
                 visited.add(b)
-                owner[b] = a
+                taken[b] = a
                 parts[a].append(b)
                 return True
         for b in nbs:
-            if b in visited or owner[b] == a:
+            if b in visited or taken[b] == a:
                 continue
             visited.add(b)
-            a2 = owner[b]
+            a2 = taken[b]
             parts[a2].remove(b)
-            owner[b] = a
+            taken[b] = a
             parts[a].append(b)
             if grab(a2, visited):
                 return True
             parts[a].remove(b)
-            owner[b] = a2
+            taken[b] = a2
             parts[a2].append(b)
         return False
 
-    # Each phase first runs the greedy step that place/grab would take with
-    # an empty visited set (first neighbour with room, first unowned
-    # neighbour) and calls them only where that step finds nothing, so the
-    # result is the one the repairs alone would give.
     for b in sorted(nbrs_of_b):
-        for a in nbrs_of_b[b]:
-            mine = parts[a]
-            if len(mine) < d:
-                owner[b] = a
-                mine.append(b)
-                break
-        else:
-            seen: set[int] = set()
-            if not place(b, seen):
-                trapped = tuple(sorted({bb for a in seen for bb in parts[a]} | {b}))
-                raise InfeasibleMatchingError(
-                    f"interior B-vertex {b} cannot be placed: {len(trapped)} B-vertices "
-                    f"compete for {d}*{len(seen)} slots on A-side {sorted(seen)}",
-                    "B", b, tuple(sorted(seen)), trapped,
-                )
+        seen: set[int] = set()
+        if not place(b, seen):
+            trapped = tuple(sorted({bb for a in seen for bb in parts[a]} | {b}))
+            raise InfeasibleMatchingError(
+                f"interior B-vertex {b} cannot be placed: {len(trapped)} B-vertices "
+                f"compete for {d}*{len(seen)} slots on A-side {sorted(seen)}",
+                "B", b, tuple(sorted(seen)), trapped,
+            )
     for a in a_order:
-        mine = parts[a]
-        if len(mine) == d:
-            continue
-        for b in section(a):
-            if b not in owner and live_b(b):
-                owner[b] = a
-                mine.append(b)
-                if len(mine) == d:
-                    break
-        while len(mine) < d:
+        while len(parts[a]) < d:
             seen = set()
             if not grab(a, seen):
-                blocked = tuple(sorted({owner[b] for b in seen if b in owner} | {a}))
+                blocked = tuple(sorted({taken[b] for b in seen if b in taken} | {a}))
                 raise InfeasibleMatchingError(
                     f"A-vertex {a} cannot reach {d} partners: A-side {list(blocked)} "
                     f"confined to B-side {sorted(seen)}",
@@ -189,4 +222,3 @@ def solve_relaxed(
     for a in a_order:
         parts[a].sort()
     return parts
-

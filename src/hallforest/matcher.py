@@ -213,24 +213,21 @@ class HaremMatcher:
         those. Only these sections are read here; they go to solve_relaxed
         as the interior's A-lists, and it reads the other sections only as
         far as it needs them. Returns the sorted partners of each ball
-        A-vertex. Liveness is read straight from the state arrays; nothing
-        here mutates them.
+        A-vertex. Liveness is read straight from the state arrays, here and,
+        for B-vertices, in solve_relaxed, which takes the owner array and the
+        fan-leaf map; nothing mutates them.
         """
         section = self.graph.neighbors_a
         owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
         n_owner, n_parts, d1 = len(owner), len(parts), self.d - 1
-
-        def live_b(b: int) -> bool:
-            return (b >= n_owner or not owner[b]) and b not in leaf_root
-
         a_seen = {center}
         nbrs_of_b = {}
         for b in section(center):
-            if live_b(b):
+            if (b >= n_owner or not owner[b]) and b not in leaf_root:
                 nbs = nbrs_of_b[b] = [a for a in section(b) if (
                     a * d1 >= n_parts or not parts[a * d1]) and a not in fans]
                 a_seen.update(nbs)
-        return solve_relaxed(sorted(a_seen), section, nbrs_of_b, live_b, self.d)
+        return solve_relaxed(sorted(a_seen), section, nbrs_of_b, owner, leaf_root, self.d)
 
     # -- stepping ---------------------------------------------------------
 

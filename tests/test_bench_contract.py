@@ -43,6 +43,14 @@ def test_tracer_reports_every_declared_layer_metric(tmp_path):
     before = wrapped_attributes(hf)
     tracer = spans.Tracer(hf)
     tracer.install()
+    ball_parts = matcher.HaremMatcher._ball_parts
+    balls = []
+
+    def counted(self, center):
+        balls.append(center)
+        return ball_parts(self, center)
+
+    matcher.HaremMatcher._ball_parts = counted
     try:
         host = forest.double_graph(forest.TreeEntourage(7))
         m = matcher.HaremMatcher(host, 4, hall.HallWitness.identity())
@@ -56,9 +64,13 @@ def test_tracer_reports_every_declared_layer_metric(tmp_path):
         assert cli.main(["verify", "--space", str(tmp_path / "descriptor.json"), "--d", "4",
                          "--n", "6", "--word-len", "1", "--out", str(tmp_path / "v")]) == 0
     finally:
+        matcher.HaremMatcher._ball_parts = ball_parts
         tracer.uninstall()
     metrics = tracer.layer_metrics(0)
     assert set(declared) <= set(metrics)
+    # each ball is solved by one call of the traced solve_relaxed, so the hall.*
+    # metrics see the whole solve and no ball is solved past the tracer
+    assert metrics["hall.solve_calls"] == len(balls) >= 50
     for name in ("graph.section_calls", "hall.solve_calls", "hall.ball_a_mean", "hall.ball_b_mean",
                  "matcher.steps", "matcher.restore_s",
                  "forest.calls", "forest.forced_steps", "wobbling.directions_calls",

@@ -18,6 +18,8 @@ from hallforest import (
     verify_free_semiregular,
 )
 
+from test_matcher import run_python
+
 
 def run(*args) -> int:
     return cli.main([str(a) for a in args])
@@ -238,4 +240,23 @@ def test_host_below_the_degree_exits_two(tmp_path, capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "has degree 3 < 5" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_space_whose_ball_outgrows_memory_exits_two(tmp_path):
+    # The first ball on the degree-100,000 tree reads the 100,000-number
+    # sections of vertex 1's 100,000 neighbors. Under the child's 600 MB
+    # address-space cap it runs out of memory within about two seconds.
+    assert run("gen-tree", "--r", 100_000, "--out", tmp_path) == 0
+    script = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 6 * 10**8 if hard == resource.RLIM_INFINITY else min(6 * 10**8, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from hallforest.cli import main\n"
+        f"sys.exit(main(['match', '--space', {str(tmp_path / 'descriptor.json')!r}, '--d', '4',\n"
+        f"               '--out', {str(tmp_path / 'out')!r}]))\n")
+    child = run_python(script)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr == "space cannot carry the construction: out of memory\n"
     assert not (tmp_path / "out").exists()

@@ -224,14 +224,20 @@ def relaxed_call(a_order, nbrs, interior, d):
     """solve_relaxed's arguments for the instance (a_order, nbrs, interior, d).
 
     nbrs gives each A-vertex's usable B-list. Its host section weaves in
-    every number from 0 up to its largest entry that no list mentions, and
-    the liveness test rejects exactly those, so the solver has to skip them.
+    every number from 0 up to its largest entry that no list mentions. Those
+    numbers are dead, in turn by a reservation and by a nonzero owner slot,
+    so the solver has to skip both kinds. The owner array ends just below
+    the largest mentioned number, which is live by the array's length.
     """
     mentioned = {b for bs in nbrs.values() for b in bs}
     sections = {a: sorted(set(bs) | {x for x in range(max(bs, default=0)) if x not in mentioned})
                 for a, bs in nbrs.items()}
     nbrs_of_b = {b: [a for a in a_order if b in nbrs[a]] for b in sorted(interior)}
-    return a_order, sections.__getitem__, nbrs_of_b, mentioned.__contains__, d
+    dead = [x for x in range(max(mentioned, default=0)) if x not in mentioned]
+    owner = [0] * max(mentioned, default=0)
+    for x in dead[1::2]:
+        owner[x] = 1
+    return a_order, sections.__getitem__, nbrs_of_b, owner, set(dead[::2]), d
 
 
 def test_solve_relaxed_star_takes_everything():

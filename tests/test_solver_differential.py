@@ -12,16 +12,19 @@ host section with the matcher's liveness test at call time.
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Iterable, Sequence
 
 import pytest
 
+import hallforest.hall
 import hallforest.matcher
 from hallforest import (
     HallWitness,
     HaremMatcher,
     InfeasibleMatchingError,
+    double_graph,
     solve_relaxed,
 )
 from test_hall import random_relaxed_instance, relaxed_call
@@ -115,15 +118,51 @@ def outcome(solver, *args):
         return "infeasible", err.side, err.stuck, err.a_set, err.b_set, str(err)
 
 
-def test_greedy_first_agrees_on_random_instances():
+def test_greedy_first_agrees_on_random_instances(monkeypatch):
     rng = random.Random(2718)
-    kinds = {"matched": 0, "infeasible": 0}
+    kinds = {"matched": 0, "infeasible": 0, "repaired": 0}
+    repairs = []
+    repair_solve = hallforest.hall._repair_solve
+
+    def counted(*args):
+        repairs.append(args)
+        return repair_solve(*args)
+
+    monkeypatch.setattr(hallforest.hall, "_repair_solve", counted)
     for _ in range(400):
         args = random_relaxed_instance(rng)
+        before = len(repairs)
         got = outcome(solve_relaxed, *relaxed_call(*args))
         assert got == outcome(reference_solve_relaxed, *args), args
         kinds[got[0]] += 1
-    assert kinds["matched"] > 30 and kinds["infeasible"] > 30
+        # the greedy pass missed, and the repair search matched the ball
+        kinds["repaired"] += len(repairs) > before and got[0] == "matched"
+    assert kinds["matched"] > 30 and kinds["infeasible"] > 30 and kinds["repaired"] > 10, kinds
+
+
+def install_differential(monkeypatch) -> list:
+    """Route every ball the matcher solves through solve_relaxed and the reference.
+
+    The reference's usable lists are filtered, at call time, by the liveness
+    rule solve_relaxed reads off its owner and reserved arguments. Every
+    ball must match. Returns a list that gets, per ball, the A-neighbours of
+    its interior that the ball build left out of a_order: committed
+    A-vertices and fan roots.
+    """
+    filtered = []
+
+    def both(a_order, section, nbrs_of_b, owner, reserved, d):
+        got = outcome(solve_relaxed, a_order, section, nbrs_of_b, owner, reserved, d)
+        nbrs_of_a = {a: [b for b in section(a) if (b >= len(owner) or not owner[b]) and b not in reserved]
+                     for a in a_order}
+        args = a_order, nbrs_of_a, list(nbrs_of_b), d
+        assert got == outcome(reference_solve_relaxed, *args), args
+        assert got[0] == "matched"
+        filtered.append({a for b in nbrs_of_b for a in section(b)} - set(a_order))
+        return got[1]
+
+    monkeypatch.setattr(hallforest.matcher, "solve_relaxed", both)
+    return filtered
 
 
 @pytest.mark.parametrize("space, steps", [
@@ -132,18 +171,30 @@ def test_greedy_first_agrees_on_random_instances():
     ("t6k3", 1500),
 ])
 def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, steps):
-    balls = []
-
-    def both(a_order, section, nbrs_of_b, live_b, d):
-        got = outcome(solve_relaxed, a_order, section, nbrs_of_b, live_b, d)
-        nbrs_of_a = {a: [b for b in section(a) if live_b(b)] for a in a_order}
-        args = a_order, nbrs_of_a, list(nbrs_of_b), d
-        assert got == outcome(reference_solve_relaxed, *args), args
-        assert got[0] == "matched"
-        balls.append(len(a_order))
-        return got[1]
-
-    monkeypatch.setattr(hallforest.matcher, "solve_relaxed", both)
+    balls = install_differential(monkeypatch)
     m = HaremMatcher(host_of(space), 4, HallWitness.identity())
     m.advance_to_step(steps)
     assert len(balls) >= steps
+
+
+def test_ball_build_leaves_a_restored_fan_root_out(tree7, monkeypatch):
+    """The fan-root filter of the ball build, under the invariant mode.
+
+    Cold runs never reach it: in 3,000 steps of T6xK3, tree6 or tree7, no
+    fan root is an A-neighbour of a ball's interior. On the 20-step tree7
+    checkpoint, a fan restored at 771, the grandchild of 22 through 129,
+    puts the root in the next ball, around 22: the root lies in the section
+    of the interior b_129. The ball leaves the root out, and the fan stays
+    held through step 200.
+    """
+    host = double_graph(tree7)
+    m = HaremMatcher(host, 4, HallWitness.identity())
+    m.advance_to_step(20)
+    cp = json.loads(m.checkpoint_json())
+    cp["fans"] = [{"root": 771, "leaves": [4626, 4627, 4628]}]
+    filtered = install_differential(monkeypatch)
+    m = HaremMatcher.restore(host, HallWitness.identity(), cp, check=True)
+    m.advance_to_step(21)
+    assert 771 in filtered[0]
+    m.advance_to_step(200)
+    assert m.fans() == {771: (4626, 4627, 4628)}
