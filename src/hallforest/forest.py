@@ -58,14 +58,19 @@ class TreeEntourage(Entourage):
         if r < 3:
             raise ValueError("regular tree degree must be at least 3")
         self.r = r
+        # each v > 1 has k = r-1 children, the first k*v + 4-r; each v > r+1 the parent (v-3)//k + 1
+        self._k = r - 1
+        self._offset = 4 - r
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        r = self.r
-        if v == 1:
-            return tuple(range(2, r + 2))
-        first = r + 2 + (v - 2) * (r - 1)
+        k = self._k
+        first = k * v + self._offset
         # the parent, then the children: parent < v < children, so ascending
-        return ((v - r - 2) // (r - 1) + 2 if v > r + 1 else 1, *range(first, first + r - 1))
+        if v > k + 2:
+            return ((v - 3) // k + 1, *range(first, first + k))
+        if v == 1:
+            return tuple(range(2, k + 3))
+        return (1, *range(first, first + k))
 
 
 def double_graph(entourage: Entourage) -> SymmetricDoubleGraph:

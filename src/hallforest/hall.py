@@ -16,7 +16,7 @@ The finite Hall theory behind it (exhaustive harem checks, brute-force
 
 from __future__ import annotations
 
-from typing import Callable, Container, Sequence
+from typing import Callable, Collection, Sequence
 
 
 class HallWitness:
@@ -64,7 +64,7 @@ def solve_relaxed(
     section: Callable[[int], Sequence[int]],
     nbrs_of_b: dict[int, Sequence[int]],
     owner: Sequence[int],
-    reserved: Container[int],
+    reserved: Collection[int],
     d: int,
 ) -> dict[int, list[int]]:
     """Deterministic core of the boundary-relaxed matching, one pass per ball.
@@ -102,34 +102,42 @@ def solve_relaxed(
 
     Returns {a: sorted partner list}.
     """
-    parts: dict[int, list[int]] = {a: [] for a in a_order}
-    room = dict.fromkeys(a_order, d)
+    inner: dict[int, list[int]] = {}  # interior partners, kept only for A-vertices that get one
     for b in sorted(nbrs_of_b):
         for a in nbrs_of_b[b]:
-            left = room[a]
-            if left:
-                room[a] = left - 1
-                parts[a].append(b)
+            mine = inner.get(a)
+            if mine is None:
+                inner[a] = [b]
+                break
+            if len(mine) < d:
+                mine.append(b)
                 break
         else:
             return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
     taken = set(nbrs_of_b)  # phase 1 placed every interior b
+    taken.update(reserved)  # a fan leaf stays out of every ball, so it counts as taken
     n_owner = len(owner)
+    parts: dict[int, list[int]] = {}
     for a in a_order:
-        left = room[a]
-        if left:
-            mine = parts[a]
-            for b in section(a):
-                if b not in taken and (b >= n_owner or not owner[b]) and b not in reserved:
-                    taken.add(b)
-                    mine.append(b)
-                    left -= 1
-                    if not left:
-                        break
-            else:
-                return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
-            if room[a] < d:
-                mine.sort()  # its interior partners came first
+        if a in inner:
+            mine = parts[a] = inner[a]
+            left = d - len(mine)
+            if not left:
+                continue
+        else:
+            mine = parts[a] = []
+            left = d
+        for b in section(a):
+            if b not in taken and (b >= n_owner or not owner[b]):
+                taken.add(b)
+                mine.append(b)
+                left -= 1
+                if not left:
+                    break
+        else:
+            return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
+        if a in inner:
+            mine.sort()  # its interior partners came first
     return parts
 
 
@@ -138,7 +146,7 @@ def _repair_solve(
     section: Callable[[int], Sequence[int]],
     nbrs_of_b: dict[int, Sequence[int]],
     owner: Sequence[int],
-    reserved: Container[int],
+    reserved: Collection[int],
     d: int,
 ) -> dict[int, list[int]]:
     """solve_relaxed's contract met by the repair search alone.

@@ -126,18 +126,25 @@ class HaremMatcher:
                     "host cannot satisfy the counting hypothesis"
                 )
 
+    # The state arrays are indexed by number, where a negative index would count
+    # from the far end, so each reader refuses numbers below 1, as f and preimages do.
+
     def owner_of(self, b: int) -> int:
         """The A-number matched to b_b so far, 0 if not yet matched."""
+        if b < 1:
+            raise ValueError("vertices are positive")
         return self._owner[b] if b < len(self._owner) else 0
 
     def partners_of(self, a: int) -> tuple[int, ...]:
         """Committed partners of a_a so far (empty or exactly d-1 numbers)."""
-        base = a * (self.d - 1)
-        if base + self.d - 1 > len(self._parts) or self._parts[base] == 0:
+        if not self.a_removed(a):
             return ()
+        base = a * (self.d - 1)
         return tuple(self._parts[base:base + self.d - 1])
 
     def a_removed(self, a: int) -> bool:
+        if a < 1:
+            raise ValueError("vertices are positive")
         base = a * (self.d - 1)
         return base < len(self._parts) and self._parts[base] != 0
 
@@ -171,12 +178,13 @@ class HaremMatcher:
         d1 = self.d - 1
         if self.check:
             self._check_commit(a, bs)
-        _grow(self._parts, (a + 1) * d1)
-        base = a * d1
-        for i, b in enumerate(sorted(bs)):
-            self._parts[base + i] = b
-            _grow(self._owner, b + 1)
-            self._owner[b] = a
+        row = sorted(bs)
+        parts, owner = self._parts, self._owner
+        _grow(parts, (a + 1) * d1)
+        _grow(owner, row[-1] + 1)
+        parts[a * d1:(a + 1) * d1] = array("i", row)
+        for b in row:
+            owner[b] = a
 
     # -- the fan ledger: the only code that edits _fans and _leaf_root -------
 
@@ -219,13 +227,14 @@ class HaremMatcher:
         """
         section = self.graph.neighbors_a
         owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
-        n_owner, n_parts, d1 = len(owner), len(parts), self.d - 1
+        d1 = self.d - 1
+        n_owner, n_a = len(owner), len(parts) // d1  # parts holds d-1 slots per A-number
         a_seen = {center}
         nbrs_of_b = {}
         for b in section(center):
             if (b >= n_owner or not owner[b]) and b not in leaf_root:
                 nbs = nbrs_of_b[b] = [a for a in section(b) if (
-                    a * d1 >= n_parts or not parts[a * d1]) and a not in fans]
+                    a >= n_a or not parts[a * d1]) and a not in fans]
                 a_seen.update(nbs)
         return solve_relaxed(sorted(a_seen), section, nbrs_of_b, owner, leaf_root, self.d)
 
@@ -428,8 +437,8 @@ class HaremMatcher:
                 bs.sort()
                 if check:
                     m._check_commit(a, bs)
-                parts[a * d1:a * d1 + d1] = array("i", bs)
-                for b in bs:
+                for i, b in enumerate(bs, a * d1):
+                    parts[i] = b
                     owner[b] = a
             # after the writes, so that check=True has refused a non-edge first
             if not all(map(owner.__getitem__, removed_a)):

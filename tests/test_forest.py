@@ -31,8 +31,15 @@ def test_tree_entourage_matches_bfs_oracle(tree7):
         assert tree7.neighbors(v) == tuple(sorted(adj[v]))
         assert tree7.section(v) == tuple(sorted(adj[v] + [v]))
         assert [w for w in range(1, 401) if tree7.related(v, w)] == sorted(w for w in adj[v] if w <= 400)
-    # every vertex below 600 has all its children below 4000
-    assert all(tree7.neighbors(v) == tuple(sorted(adj[v])) for v in range(1, 600))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_tree_neighbors_match_bfs_oracle_at_every_degree(r):
+    """neighbors(v) against the BFS lists on v = 1..600: the root, the root's
+    children 2..r+1 and every deeper vertex, each case with its own arithmetic."""
+    adj = bfs_tree_adjacency(r, 600 * (r - 1) + r + 2)  # every v <= 600 keeps all its children
+    tree = TreeEntourage(r)
+    assert [tree.neighbors(v) for v in range(1, 601)] == [tuple(sorted(adj[v])) for v in range(1, 601)]
 
 
 def test_tree_entourage_section_pins(tree6):

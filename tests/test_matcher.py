@@ -52,6 +52,20 @@ def test_initial_state(tree6):
     assert not m.a_removed(1) and not m.b_removed(1)
 
 
+@pytest.mark.parametrize("query", ["owner_of", "partners_of", "a_removed", "b_removed",
+                                   "f", "preimages"])
+def test_state_queries_refuse_numbers_below_one(tree7, query):
+    """The state arrays are indexed by number, and a negative index would read them
+    from the far end (at step 50 on tree7 d=4, owner_of(-1) would give 327, and
+    a_removed(-1) and b_removed(-1) True). Every query refuses 0 and -1 instead."""
+    m = fresh(tree7, 4)
+    m.advance_to_step(50)
+    for v in (0, -1):
+        with pytest.raises(ValueError, match="vertices are positive"):
+            getattr(m, query)(v)
+    assert m.step == 50
+
+
 def test_rejects_small_d(tree6):
     with pytest.raises(ValueError):
         fresh(tree6, 2)

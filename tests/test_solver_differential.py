@@ -165,14 +165,18 @@ def install_differential(monkeypatch) -> list:
     return filtered
 
 
-@pytest.mark.parametrize("space, steps", [
-    ("tree6", 1500),
-    ("tree7", 1500),
-    ("t6k3", 1500),
-])
-def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, steps):
+# Phase 2's fill counts and the sort of lists that mix both phases depend on d;
+# T6xK3 is the host with reserved fan leaves in play.
+@pytest.mark.parametrize("space, d, steps", [
+    ("tree6", 4, 1500),
+    ("tree7", 4, 1500),
+    ("t6k3", 4, 1500),
+    ("tree6", 3, 1500),
+    ("tree7", 5, 1500),
+], ids=["tree6-1500", "tree7-1500", "t6k3-1500", "tree6-d3-1500", "tree7-d5-1500"])
+def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, d, steps):
     balls = install_differential(monkeypatch)
-    m = HaremMatcher(host_of(space), 4, HallWitness.identity())
+    m = HaremMatcher(host_of(space), d, HallWitness.identity())
     m.advance_to_step(steps)
     assert len(balls) >= steps
 
