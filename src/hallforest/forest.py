@@ -68,6 +68,8 @@ class TreeEntourage(Entourage):
         # the parent, then the children: parent < v < children, so ascending
         if v > k + 2:
             return ((v - 3) // k + 1, *range(first, first + k))
+        if v < 1:
+            raise ValueError("vertices are positive")
         if v == 1:
             return tuple(range(2, k + 3))
         return (1, *range(first, first + k))

@@ -7,8 +7,10 @@ one. It follows a fixed deterministic schedule (ascending orders
 everywhere, a greedy pass, and augmenting repairs of the whole ball when
 that pass misses) so that repeated runs produce identical matchings, and
 raises InfeasibleMatchingError with the blocking cut when the contract
-cannot be met. HallWitness is the host's Hall witness, which the matcher
-takes.
+cannot be met. It matches the whole ball, which certifies the step, but
+returns only the partner lists of the ball's center and of the A-vertices
+that hold an interior B-vertex: those are all a matcher step reads.
+HallWitness is the host's Hall witness, which the matcher takes.
 
 The finite Hall theory behind it (exhaustive harem checks, brute-force
 (1,k)-matchings) serves only as a test reference, in tests/oracles.py.
@@ -66,16 +68,18 @@ def solve_relaxed(
     owner: Sequence[int],
     reserved: Collection[int],
     d: int,
+    center: int,
 ) -> dict[int, list[int]]:
     """Deterministic core of the boundary-relaxed matching, one pass per ball.
 
-    Inputs: a_order lists the A-vertices, ascending. A B-vertex b is live
-    when b >= len(owner) or owner[b] is 0, and b is not in reserved; the
-    matcher passes its owner array and its fan-leaf map, and this function
-    only reads them. An A-vertex a may take the live B-vertices of its host
-    section section(a) (ascending): its usable section. The keys of
-    nbrs_of_b are the interior B-vertices, and nbrs_of_b[b] lists,
-    ascending, the A-vertices of a_order whose usable section holds b.
+    Inputs: a_order lists the A-vertices, ascending, and center is one of
+    them. A B-vertex b is live when b >= len(owner) or owner[b] is 0, and b
+    is not in reserved; the matcher passes its owner array and its fan-leaf
+    map, and this function only reads them. An A-vertex a may take the live
+    B-vertices of its host section section(a) (ascending): its usable
+    section. The keys of nbrs_of_b are the interior B-vertices, and
+    nbrs_of_b[b] lists, ascending, the A-vertices of a_order whose usable
+    section holds b.
 
     Contract: every a in a_order ends with exactly d partners drawn from its
     usable section; every interior b ends with exactly one owner; any other
@@ -100,45 +104,71 @@ def solve_relaxed(
     the a in a_order whose usable section holds b, which is what inverting
     every usable section over a_order gives.
 
-    Returns {a: sorted partner list}.
+    Returns {a: sorted partner list} for the center and for each A-vertex
+    that holds an interior B-vertex, the only lists a matcher step reads.
+    Every other A-vertex is matched all the same, as the certificate that
+    the ball can be matched, but its partners are only counted.
     """
-    inner: dict[int, list[int]] = {}  # interior partners, kept only for A-vertices that get one
+    # the returned lists: interior partners, kept only for A-vertices that get one
+    kept: dict[int, list[int]] = {}
     for b in sorted(nbrs_of_b):
         for a in nbrs_of_b[b]:
-            mine = inner.get(a)
+            mine = kept.get(a)
             if mine is None:
-                inner[a] = [b]
+                kept[a] = [b]
                 break
             if len(mine) < d:
                 mine.append(b)
                 break
         else:
-            return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
+            return _kept_repair(a_order, section, nbrs_of_b, owner, reserved, d, center)
+    kept.setdefault(center, [])  # and the center's, which it may fill in phase 2
     taken = set(nbrs_of_b)  # phase 1 placed every interior b
     taken.update(reserved)  # a fan leaf stays out of every ball, so it counts as taken
     n_owner = len(owner)
-    parts: dict[int, list[int]] = {}
+    take = taken.add
     for a in a_order:
-        if a in inner:
-            mine = parts[a] = inner[a]
-            left = d - len(mine)
-            if not left:
-                continue
-        else:
-            mine = parts[a] = []
-            left = d
+        if a not in kept:
+            left = d  # no list is returned for a: count its partners
+            for b in section(a):
+                if b not in taken and (b >= n_owner or not owner[b]):
+                    take(b)
+                    left -= 1
+                    if not left:
+                        break
+            else:
+                return _kept_repair(a_order, section, nbrs_of_b, owner, reserved, d, center)
+            continue
+        mine = kept[a]
+        left = d - len(mine)
+        if not left:
+            continue
         for b in section(a):
             if b not in taken and (b >= n_owner or not owner[b]):
-                taken.add(b)
+                take(b)
                 mine.append(b)
                 left -= 1
                 if not left:
                     break
         else:
-            return _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
-        if a in inner:
-            mine.sort()  # its interior partners came first
-    return parts
+            return _kept_repair(a_order, section, nbrs_of_b, owner, reserved, d, center)
+        mine.sort()  # its interior partners, if any, came first
+    return kept
+
+
+def _kept_repair(
+    a_order: Sequence[int],
+    section: Callable[[int], Sequence[int]],
+    nbrs_of_b: dict[int, Sequence[int]],
+    owner: Sequence[int],
+    reserved: Collection[int],
+    d: int,
+    center: int,
+) -> dict[int, list[int]]:
+    """_repair_solve of the whole ball, cut to the lists solve_relaxed returns."""
+    parts = _repair_solve(a_order, section, nbrs_of_b, owner, reserved, d)
+    return {a: bs for a, bs in parts.items()
+            if a == center or any(b in nbrs_of_b for b in bs)}
 
 
 def _repair_solve(

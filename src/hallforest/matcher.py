@@ -220,10 +220,12 @@ class HaremMatcher:
         are the center's live section, its A-vertices the live sections of
         those. Only these sections are read here; they go to solve_relaxed
         as the interior's A-lists, and it reads the other sections only as
-        far as it needs them. Returns the sorted partners of each ball
-        A-vertex. Liveness is read straight from the state arrays, here and,
-        for B-vertices, in solve_relaxed, which takes the owner array and the
-        fan-leaf map; nothing mutates them.
+        far as it needs them. Returns the sorted partners of the center and
+        of each A-vertex that holds an interior B-vertex; the rest of the
+        ball is matched only to certify that it can be. Liveness is read
+        straight from the state arrays, here and, for B-vertices, in
+        solve_relaxed, which takes the owner array and the fan-leaf map;
+        nothing mutates them.
         """
         section = self.graph.neighbors_a
         owner, parts, leaf_root, fans = self._owner, self._parts, self._leaf_root, self._fans
@@ -236,7 +238,7 @@ class HaremMatcher:
                 nbs = nbrs_of_b[b] = [a for a in section(b) if (
                     a >= n_a or not parts[a * d1]) and a not in fans]
                 a_seen.update(nbs)
-        return solve_relaxed(sorted(a_seen), section, nbrs_of_b, owner, leaf_root, self.d)
+        return solve_relaxed(sorted(a_seen), section, nbrs_of_b, owner, leaf_root, self.d, center)
 
     # -- stepping ---------------------------------------------------------
 
@@ -288,7 +290,8 @@ class HaremMatcher:
                 self._commit(center, tuple(sorted((target,) + leaves[:d - 2])))
                 return
             parts = self._ball_parts(center)
-            # target sits one edge from the center, so it is interior: one owner
+            # target sits one edge from the center, so it is interior: it has one
+            # owner, and solve_relaxed returns the list of each interior owner
             holder = next(a for a, bs in parts.items() if target in bs)
             mine = parts[center]
             if holder == center:

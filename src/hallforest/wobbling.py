@@ -117,8 +117,11 @@ def reduced_words(length: int) -> list[tuple[str, ...]]:
     """All reduced words of exactly the given length, in canonical order.
 
     Canonical order ranks tokens a+, a-, b+, b- and extends words on the
-    right; reduced means no token directly follows its inverse.
+    right; reduced means no token directly follows its inverse. A negative
+    length has no words, and is refused.
     """
+    if length < 0:
+        raise ValueError("word length is nonnegative")
     words: list[tuple[str, ...]] = [()]
     for _ in range(length):
         words = [w + (t,) for w in words for t in DIRS

@@ -5,9 +5,10 @@ queue, so the arithmetic vertex numbering in the package can be checked
 against code that cannot share its bugs. ExplicitEntourage is a finite
 entourage given by its pairs. The t6k3 host is the product of the degree-6
 tree with a triangle: unlike every tree host, it makes the matcher reserve
-and consume fans. cli_artifact runs one command of the CLI and reads back a
-file it wrote. The hallforest Hypothesis profile makes every run draw the
-same examples.
+and consume fans. SwappedTree renumbers a tree, so that a vertex's
+neighbors need not lie above it. cli_artifact runs one command of the CLI
+and reads back a file it wrote. The hallforest Hypothesis profile makes
+every run draw the same examples.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ class ExplicitEntourage(Entourage):
         return self._nbrs.get(v, ())
 
 
+class SwappedTree(Entourage):
+    """tree7 with some numbers swapped in pairs: a host where a vertex's
+    neighbors need not be numbered above it."""
+
+    def __init__(self, swaps: dict[int, int]):
+        self.tree = TreeEntourage(7)
+        self.swap = {**swaps, **{w: v for v, w in swaps.items()}}
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        swap = self.swap.get
+        return tuple(sorted(swap(w, w) for w in self.tree.neighbors(swap(v, v))))
+
+
 @pytest.fixture(scope="session")
 def tree6() -> TreeEntourage:
     return TreeEntourage(6)
@@ -70,6 +84,14 @@ def tree6() -> TreeEntourage:
 @pytest.fixture(scope="session")
 def tree7() -> TreeEntourage:
     return TreeEntourage(7)
+
+
+@pytest.fixture(scope="session")
+def swapped7() -> SwappedTree:
+    """tree7 with the children 267..269 of 45 numbered 5..7, and the root's
+    children 5..7 numbered 267..269. Cold d=4 balls need the repair search
+    at steps 27, 32 and 37, and from step 29 on the chain consumes fans."""
+    return SwappedTree({5: 267, 6: 268, 7: 269})
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,18 @@ def test_tree_entourage_section_pins(tree6):
     assert not tree6.related(2, 13)
 
 
+@pytest.mark.parametrize("r", [3, 7])
+def test_tree_entourage_refuses_numbers_below_one(r):
+    # the arithmetic would answer: on r = 7, neighbors(0) was (1, -3, -2, -1, 0, 1, 2),
+    # so 0 was related to itself and to 1, and expanded 2-fold as a subset
+    tree = TreeEntourage(r)
+    for v in (0, -1):
+        for read in (tree.neighbors, tree.section, lambda v: tree.related(v, 1),
+                     lambda v: check_expansion(tree, [v], 2)):
+            with pytest.raises(ValueError, match="vertices are positive"):
+                read(v)
+
+
 def test_tree_entourage_rejects_small_degree():
     with pytest.raises(ValueError):
         TreeEntourage(2)

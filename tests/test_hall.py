@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hallforest import HallWitness, InfeasibleMatchingError, double_graph, solve_relaxed
+from hallforest.hall import _repair_solve
 
 from conftest import bfs_tree_adjacency
 from oracles import (
@@ -220,8 +221,9 @@ def test_matching_dot_marks_matched_edges(cli_artifact):
 # -- relaxed solving ---------------------------------------------------------------
 
 
-def relaxed_call(a_order, nbrs, interior, d):
-    """solve_relaxed's arguments for the instance (a_order, nbrs, interior, d).
+def relaxed_call(a_order, nbrs, interior, d, center):
+    """solve_relaxed's arguments for the instance (a_order, nbrs, interior, d),
+    solved as the ball around center; the first six are _repair_solve's.
 
     nbrs gives each A-vertex's usable B-list. Its host section weaves in
     every number from 0 up to its largest entry that no list mentions. Those
@@ -237,17 +239,17 @@ def relaxed_call(a_order, nbrs, interior, d):
     owner = [0] * max(mentioned, default=0)
     for x in dead[1::2]:
         owner[x] = 1
-    return a_order, sections.__getitem__, nbrs_of_b, owner, set(dead[::2]), d
+    return a_order, sections.__getitem__, nbrs_of_b, owner, set(dead[::2]), d, center
 
 
 def test_solve_relaxed_star_takes_everything():
-    parts = solve_relaxed(*relaxed_call([1], {1: [1, 2, 3]}, [1, 2, 3], 3))
+    parts = solve_relaxed(*relaxed_call([1], {1: [1, 2, 3]}, [1, 2, 3], 3, 1))
     assert parts == {1: [1, 2, 3]}
 
 
 def test_solve_relaxed_reports_trapped_interior():
     with pytest.raises(InfeasibleMatchingError) as exc:
-        solve_relaxed(*relaxed_call([1], {1: [1, 2, 3, 4]}, [1, 2, 3, 4], 3))
+        solve_relaxed(*relaxed_call([1], {1: [1, 2, 3, 4]}, [1, 2, 3, 4], 3, 1))
     err = exc.value
     assert err.side == "B"
     assert err.stuck == 4
@@ -259,7 +261,7 @@ def test_solve_relaxed_reports_trapped_interior():
 def test_solve_relaxed_reports_starved_a_side():
     nbrs = {1: [1, 2, 3, 4], 2: [1, 2, 3, 4]}
     with pytest.raises(InfeasibleMatchingError) as exc:
-        solve_relaxed(*relaxed_call([1, 2], nbrs, [1, 2, 3, 4], 3))
+        solve_relaxed(*relaxed_call([1, 2], nbrs, [1, 2, 3, 4], 3, 1))
     err = exc.value
     assert err.side == "A"
     assert set(err.a_set) == {1, 2}
@@ -283,19 +285,24 @@ def random_relaxed_instance(rng: random.Random):
 
 
 def test_solve_relaxed_agrees_with_flow_oracle():
+    # solve_relaxed returns only some lists, so the whole contract is checked on
+    # the repair search's matching, which its lists must be part of
     rng = random.Random(23)
     feasible = infeasible = 0
     for _ in range(300):
         a_order, nbrs, interior, d = random_relaxed_instance(rng)
         expected = relaxed_feasible(a_order, nbrs, interior, d)
+        call = relaxed_call(a_order, nbrs, interior, d, a_order[0])
         try:
-            parts = solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
+            parts = solve_relaxed(*call)
         except InfeasibleMatchingError:
             assert not expected
             infeasible += 1
         else:
             assert expected
-            assert contract_holds(parts, a_order, nbrs, interior, d)
+            full = _repair_solve(*call[:6])
+            assert contract_holds(full, a_order, nbrs, interior, d)
+            assert parts == {a: full[a] for a in parts}
             feasible += 1
     assert feasible > 30 and infeasible > 30
 
@@ -305,23 +312,28 @@ def test_solve_relaxed_is_deterministic():
     for _ in range(40):
         a_order, nbrs, interior, d = random_relaxed_instance(rng)
         try:
-            first = solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
+            first = solve_relaxed(*relaxed_call(a_order, nbrs, interior, d, a_order[-1]))
         except InfeasibleMatchingError:
             continue
-        assert first == solve_relaxed(*relaxed_call(a_order, nbrs, interior, d))
+        assert first == solve_relaxed(*relaxed_call(a_order, nbrs, interior, d, a_order[-1]))
 
 
 def tree6_ball_matching(radius: int):
-    """solve_relaxed on the oracle ball of that radius around a_1 in the
-    tree6 double, d=4: (a_order, each A-vertex's B-list, interior B-vertices,
-    the result as a Matching, which refuses a B-vertex owned twice)."""
+    """The oracle ball of that radius around a_1 in the tree6 double, d=4,
+    matched: (a_order, each A-vertex's B-list, interior B-vertices, the
+    repair search's matching of the whole ball as a Matching, which refuses
+    a B-vertex owned twice). solve_relaxed's lists are checked to be part
+    of that matching, and to be the lists of a_1 and the interior holders."""
     a_set, b_set, edges, boundary = oracle_double_ball(bfs_tree_adjacency(6, 40_000), 1, radius)
     nbrs = {a: [] for a in a_set}
     for a, b in edges:
         nbrs[a].append(b)
     interior = sorted(set(b_set) - set(boundary))
-    parts = solve_relaxed(*relaxed_call(a_set, nbrs, interior, 4))
-    return a_set, nbrs, interior, Matching((a, b) for a, bs in parts.items() for b in bs)
+    call = relaxed_call(a_set, nbrs, interior, 4, 1)
+    full = _repair_solve(*call[:6])
+    holders = {a for a, bs in full.items() if a == 1 or set(bs) & set(interior)}
+    assert solve_relaxed(*call) == {a: full[a] for a in holders}
+    return a_set, nbrs, interior, Matching((a, b) for a, bs in full.items() for b in bs)
 
 
 def test_boundary_relaxed_matching_on_tree_ball(tree6):

@@ -562,13 +562,21 @@ def test_host_check_comes_before_any_allocation(tmp_path):
 
 def test_close_cycle_consumes_fans_on_its_chain(tree7):
     """The chain's fan branches, and the balls' fan-root filter, from fans
-    restored at step 0 on tree7, d=4.
+    restored at step 0 on tree7.
 
-    The cursor 1 commits to (2, 3, 4), so the chain starts with target 1. A
-    fan rooted at the tree neighbor 5 of 1, with leaf 1, is consumed by the
-    chain, which goes on with target 5 and center 27, the fan's least other
-    leaf. A second fan rooted at 27 makes the center a fan root: it takes
-    the target plus its two lowest leaves instead of its ball partners.
+    At d=4 the cursor 1 commits to (2, 3, 4), so the chain starts with
+    target 1. A fan rooted at the tree neighbor 5 of 1, with leaf 1, is
+    consumed by the chain, which goes on with target 5 and center 27, the
+    fan's least other leaf. A second fan rooted at 27 makes the center a fan
+    root: it takes the target plus its two lowest leaves instead of its ball
+    partners.
+
+    Fans holding b_2, b_3 and b_4 as leaves make a_1 commit to (5, 6, 7).
+    Then the fan at 5 is consumed with b_5 already committed, and the chain
+    stops there: going on, it would look for b_5's owner in a ball, where a
+    committed b_5 never is. At d=5 the center 2 is a fan root of four leaves
+    and takes the target plus its d-2 = 3 lowest; taking two, d=4's count,
+    would commit too few partners.
 
     A fan rooted at 3 keeps a_3 out of the chain's ball around 2, whose
     interior holds b_1, until step 3 commits a_3 to its leaves. Were a_3 in
@@ -577,20 +585,46 @@ def test_close_cycle_consumes_fans_on_its_chain(tree7):
     """
     host = double_graph(tree7)
     first = {"root": 5, "leaves": [1, 27, 28]}
+    blockers = [{"root": 9, "leaves": [2, 51, 52]}, {"root": 15, "leaves": [3, 87, 88]},
+                {"root": 21, "leaves": [4, 123, 124]}]
     cases = [
-        ([first], 1, {1: (2, 3, 4), 5: (1, 27, 28), 27: (5, 159, 160)}),
-        ([first, {"root": 27, "leaves": [160, 161, 162]}], 1,
+        (4, [first], 1, {1: (2, 3, 4), 5: (1, 27, 28), 27: (5, 159, 160)}),
+        (4, [first, {"root": 27, "leaves": [160, 161, 162]}], 1,
          {1: (2, 3, 4), 5: (1, 27, 28), 27: (5, 160, 161)}),
-        ([{"root": 3, "leaves": [15, 16, 17]}], 3,
+        (4, blockers + [first], 1, {1: (5, 6, 7), 5: (1, 27, 28)}),
+        (5, [{"root": 2, "leaves": [9, 10, 11, 12]}], 1, {1: (2, 3, 4, 5), 2: (1, 9, 10, 11)}),
+        (4, [{"root": 3, "leaves": [15, 16, 17]}], 3,
          {1: (2, 3, 4), 2: (1, 9, 10), 3: (15, 16, 17), 4: (21, 22, 23)}),
     ]
-    for fans, steps, commits in cases:
-        cp = {"d": 4, "step": 0, "committed": [], "removed_a": [], "removed_b": [], "fans": fans}
+    for d, fans, steps, commits in cases:
+        cp = {"d": d, "step": 0, "committed": [], "removed_a": [], "removed_b": [], "fans": fans}
         m = HaremMatcher.restore(host, HallWitness.identity(), cp, check=True)
         m.advance_to_step(steps)
         assert {a: m.partners_of(a) for a in m.removed_a_set()} == commits
-        assert m.fans() == {}
+        # a fan is held until its root commits
+        assert m.fans() == {f["root"]: tuple(f["leaves"]) for f in fans if f["root"] not in commits}
         m.advance_to_step(201)  # and the invariant asserts hold from there on
+
+
+def test_close_cycle_keeps_a_target_that_is_the_centers_largest_partner(swapped7):
+    """The chain's mine[1:] drop, under the invariant mode, d=4.
+
+    On tree7 a chain's target is always below the rest of its center's
+    section. Here the tree vertices 267..269, children of 45, are numbered
+    5..7, and a fan 8 -> (1, 45, 46) is restored at step 0. a_1 commits to
+    (2, 3, 4); the chain consumes the fan and goes on with target 8 and
+    center 45, whose ball gives it (5, 6, 7, 8). It keeps the target 8, its
+    largest partner, and drops 5 (taking mine[:3] would leave b_8 uncommitted).
+    """
+    host = double_graph(swapped7)
+    cp = {"d": 4, "step": 0, "committed": [], "removed_a": [], "removed_b": [],
+          "fans": [{"root": 8, "leaves": [1, 45, 46]}]}
+    m = HaremMatcher.restore(host, HallWitness.identity(), cp, check=True)
+    m.advance_to_step(1)
+    assert {a: m.partners_of(a) for a in m.removed_a_set()} == {1: (2, 3, 4), 8: (1, 45, 46),
+                                                                45: (6, 7, 8)}
+    assert m.fans() == {}
+    m.advance_to_step(201)  # and the invariant asserts hold from there on
 
 
 def test_two_runs_are_byte_identical(tree6):

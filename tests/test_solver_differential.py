@@ -2,19 +2,22 @@
 
 solve_relaxed runs a greedy pass before its augmenting repairs. That pass
 must change nothing: on every instance it has to return the partners, or
-raise the certificate, that the repairs alone gave. reference_solve_relaxed
-is the solver as it was before the greedy pass, kept verbatim, with its
-input shape of that time: every A-vertex's usable B-list and the interior.
-Each call of solve_relaxed is translated into those inputs: on random
-instances by test_hall.relaxed_call, on matcher balls by filtering each
-host section with the matcher's liveness test at call time.
+raise the certificate, that the repairs alone gave. It returns the lists of
+the center and of the A-vertices that hold an interior B-vertex, which must
+be exactly those of the reference's lists; _repair_solve, which returns every
+list, must give all of the reference's. reference_solve_relaxed is the
+solver as it was before the greedy pass, kept verbatim, with its input
+shape of that time: every A-vertex's usable B-list and the interior. Each
+call of solve_relaxed is translated into those inputs: on random instances
+by test_hall.relaxed_call, on matcher balls by filtering each host section
+with the matcher's liveness test at call time.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -27,6 +30,7 @@ from hallforest import (
     double_graph,
     solve_relaxed,
 )
+from hallforest.hall import _repair_solve
 from test_hall import random_relaxed_instance, relaxed_call
 
 
@@ -118,26 +122,80 @@ def outcome(solver, *args):
         return "infeasible", err.side, err.stuck, err.a_set, err.b_set, str(err)
 
 
-def test_greedy_first_agrees_on_random_instances(monkeypatch):
-    rng = random.Random(2718)
-    kinds = {"matched": 0, "infeasible": 0, "repaired": 0}
-    repairs = []
-    repair_solve = hallforest.hall._repair_solve
+def assert_agrees(got, call, args) -> None:
+    """got is solve_relaxed's outcome on call, its seven arguments, and args is
+    the instance in the reference's input shape. The repair search alone, on
+    the whole ball, must give the reference's outcome: every list, or every
+    certificate field. got must give the same certificate, or the
+    reference's lists of exactly the center and the A-vertices that hold an
+    interior B-vertex."""
+    expected = outcome(reference_solve_relaxed, *args)
+    assert outcome(_repair_solve, *call[:6]) == expected, args
+    assert got[0] == expected[0], args
+    if got[0] != "matched":
+        assert got == expected, args
+        return
+    parts, center, interior = expected[1], call[6], call[2]
+    holders = {a for a, bs in parts.items() if a == center or any(b in interior for b in bs)}
+    assert set(got[1]) == holders, args
+    for a, bs in got[1].items():
+        assert bs == parts[a], args
+
+
+def missed_at(monkeypatch) -> tuple[list, Callable]:
+    """Record, per ball solve_relaxed hands to the repair search, the A-vertex
+    whose section the greedy pass read last, where it missed; None for a
+    miss in phase 1, which reads no section. Returns that list and traced,
+    which wraps each instance's section so that its reads are seen."""
+    misses, read = [], []
 
     def counted(*args):
-        repairs.append(args)
-        return repair_solve(*args)
+        misses.append(read[-1] if read else None)
+        read.append("repair")  # the repair search's own reads come after
+        return _repair_solve(*args)
+
+    def traced(section):
+        def reading(a):
+            read.append(a)
+            return section(a)
+        read.clear()
+        return reading
 
     monkeypatch.setattr(hallforest.hall, "_repair_solve", counted)
-    for _ in range(400):
+    return misses, traced
+
+
+def test_greedy_first_agrees_on_random_instances(monkeypatch):
+    rng = random.Random(2718)
+    centers = random.Random(314)
+    kinds = {"matched": 0, "infeasible": 0, "repaired": 0, "repaired_unreturned": 0}
+    misses, traced = missed_at(monkeypatch)
+    for _ in range(1200):
         args = random_relaxed_instance(rng)
-        before = len(repairs)
-        got = outcome(solve_relaxed, *relaxed_call(*args))
-        assert got == outcome(reference_solve_relaxed, *args), args
+        call = relaxed_call(*args, centers.choice(args[0]))
+        before = len(misses)
+        got = outcome(solve_relaxed, call[0], traced(call[1]), *call[2:])
+        assert_agrees(got, call, args)
         kinds[got[0]] += 1
-        # the greedy pass missed, and the repair search matched the ball
-        kinds["repaired"] += len(repairs) > before and got[0] == "matched"
+        if len(misses) > before and got[0] == "matched":
+            # the greedy pass missed, and the repair search matched the ball
+            kinds["repaired"] += 1
+            kinds["repaired_unreturned"] += misses[-1] not in (None, *got[1])
     assert kinds["matched"] > 30 and kinds["infeasible"] > 30 and kinds["repaired"] > 10, kinds
+    assert kinds["repaired_unreturned"] >= 3, kinds
+
+
+def test_greedy_miss_at_an_unreturned_vertex_is_repaired(monkeypatch):
+    """The center a_1 fills first, with b_1 and b_2; a_2, whose list is not
+    returned, then finds both taken. The repair search moves a_1 to b_3 and
+    b_4, and the count-only pass must hand the ball over for that."""
+    misses, traced = missed_at(monkeypatch)
+    args = [1, 2], {1: [1, 2, 3, 4], 2: [1, 2]}, [], 2
+    call = relaxed_call(*args, 1)
+    got = outcome(solve_relaxed, call[0], traced(call[1]), *call[2:])
+    assert got == ("matched", {1: [3, 4]})
+    assert misses == [2]
+    assert_agrees(got, call, args)
 
 
 def install_differential(monkeypatch) -> list:
@@ -151,12 +209,13 @@ def install_differential(monkeypatch) -> list:
     """
     filtered = []
 
-    def both(a_order, section, nbrs_of_b, owner, reserved, d):
-        got = outcome(solve_relaxed, a_order, section, nbrs_of_b, owner, reserved, d)
+    def both(*call):
+        a_order, section, nbrs_of_b, owner, reserved, d, _ = call
+        got = outcome(solve_relaxed, *call)
         nbrs_of_a = {a: [b for b in section(a) if (b >= len(owner) or not owner[b]) and b not in reserved]
                      for a in a_order}
         args = a_order, nbrs_of_a, list(nbrs_of_b), d
-        assert got == outcome(reference_solve_relaxed, *args), args
+        assert_agrees(got, call, args)
         assert got[0] == "matched"
         filtered.append({a for b in nbrs_of_b for a in section(b)} - set(a_order))
         return got[1]
@@ -166,19 +225,23 @@ def install_differential(monkeypatch) -> list:
 
 
 # Phase 2's fill counts and the sort of lists that mix both phases depend on d;
-# T6xK3 is the host with reserved fan leaves in play.
-@pytest.mark.parametrize("space, d, steps", [
-    ("tree6", 4, 1500),
-    ("tree7", 4, 1500),
-    ("t6k3", 4, 1500),
-    ("tree6", 3, 1500),
-    ("tree7", 5, 1500),
-], ids=["tree6-1500", "tree7-1500", "t6k3-1500", "tree6-d3-1500", "tree7-d5-1500"])
-def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, d, steps):
+# T6xK3 is the host with reserved fan leaves in play, and the renumbered tree7
+# the one whose balls need the repair search.
+@pytest.mark.parametrize("space, d, steps, repairs", [
+    ("tree6", 4, 1500, 0),
+    ("tree7", 4, 1500, 0),
+    ("t6k3", 4, 1500, 0),
+    ("tree6", 3, 1500, 0),
+    ("tree7", 5, 1500, 0),
+    ("swapped7", 4, 1500, 3),
+], ids=["tree6-1500", "tree7-1500", "t6k3-1500", "tree6-d3-1500", "tree7-d5-1500", "swapped7-1500"])
+def test_greedy_first_agrees_on_every_matcher_ball(host_of, monkeypatch, space, d, steps, repairs):
     balls = install_differential(monkeypatch)
+    misses, _ = missed_at(monkeypatch)
     m = HaremMatcher(host_of(space), d, HallWitness.identity())
     m.advance_to_step(steps)
     assert len(balls) >= steps
+    assert len(misses) == repairs
 
 
 def test_ball_build_leaves_a_restored_fan_root_out(tree7, monkeypatch):

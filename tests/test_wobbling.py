@@ -137,6 +137,10 @@ def test_reduced_words_counts_and_order():
         ("a-", "a-"), ("a-", "b+")]
     for word in reduced_words(3):
         assert all(t != INVERSE[s] for s, t in zip(word, word[1:]))
+    assert reduced_words(0) == [()]  # the empty word
+    for length in (-1, -2):
+        with pytest.raises(ValueError, match="word length is nonnegative"):
+            reduced_words(length)
 
 
 def test_verify_free_semiregular_report(pair):
