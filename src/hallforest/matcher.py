@@ -64,15 +64,25 @@ def _joined(slots: array, width: int, fmt: Callable[..., str], reads: int = 0) -
     return ",".join(filter(None, chunks))
 
 
+def _check_step_limit(step_limit: int | None) -> None:
+    """Refuse a step budget other than None or a non-negative int, as d is refused."""
+    if step_limit is None:
+        return
+    if type(step_limit) is not int:
+        raise TypeError(f"step_limit must be an int or None, got {step_limit!r}")
+    if step_limit < 0:
+        raise ValueError(f"step_limit must be non-negative, got {step_limit}")
+
+
 class HaremMatcher:
     """Stateful constructor of the perfect (1, d-1)-matching.
 
     graph must be symmetric and diagonal-free in the sense of
     SymmetricDoubleGraph; h is the host's Hall witness, read only by the
     sanity check of the host; d is an int, at least 3. Every step solves a
-    relaxed matching on a radius-3 ball. step_limit, when set, bounds
-    run_step calls made on behalf of lazy queries; exceeding it raises
-    MatcherBudgetError instead of grinding on.
+    relaxed matching on a radius-3 ball. step_limit, when set, is a
+    non-negative int that bounds run_step calls made on behalf of lazy
+    queries; exceeding it raises MatcherBudgetError instead of grinding on.
     """
 
     def __init__(
@@ -89,6 +99,7 @@ class HaremMatcher:
             raise ValueError("d must be at least 3")
         if h(0) != 0:
             raise ValueError("witness must satisfy h(0) = 0")
+        _check_step_limit(step_limit)
         self.graph = graph
         self.d = d
         self._sanity_check_host(h)  # before anything is allocated, as d may be huge
@@ -317,6 +328,8 @@ class HaremMatcher:
         self.run_step()
 
     def advance_to_step(self, n: int) -> None:
+        if type(n) is not int:
+            raise TypeError(f"step must be an int, got {n!r}")
         while self.step < n:
             self._forced_step()
 
@@ -391,6 +404,7 @@ class HaremMatcher:
         The cost is linear in the committed pairs: each retired vertex's
         slots and owner entries are written straight into arrays grown once.
         """
+        _check_step_limit(step_limit)  # here, where its TypeError is no corrupt checkpoint
         try:
             m = cls(graph, checkpoint["d"], h, step_limit=step_limit, check=check)
             step = checkpoint["step"]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -33,7 +35,7 @@ def test_tree_entourage_matches_bfs_oracle(tree7):
         assert [w for w in range(1, 401) if tree7.related(v, w)] == sorted(w for w in adj[v] if w <= 400)
 
 
-@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("r", range(3, 11))
 def test_tree_neighbors_match_bfs_oracle_at_every_degree(r):
     """neighbors(v) against the BFS lists on v = 1..600: the root, the root's
     children 2..r+1 and every deeper vertex, each case with its own arithmetic."""
@@ -64,6 +66,35 @@ def test_tree_entourage_refuses_numbers_below_one(r):
 def test_tree_entourage_rejects_small_degree():
     with pytest.raises(ValueError):
         TreeEntourage(2)
+    # 7.0 constructed, and its first section read failed inside range
+    for r in (7.0, 7.5):
+        with pytest.raises(TypeError, match="regular tree degree must be an int"):
+            TreeEntourage(r)
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_tree_deep_sections_match_arithmetic(r):
+    """Each section from v = r+1 on is an ascending tuple of r ints: the parent
+    (v - r - 2) // (r - 1) + 2, then the r - 1 children from r + 2 + (v - 2)(r - 1)."""
+    tree = TreeEntourage(r)
+    rng = random.Random(r)
+    for v in [*range(r + 1, r + 41), *(rng.randint(r + 2, 2 ** 31 // r) for _ in range(200))]:
+        first = r + 2 + (v - 2) * (r - 1)
+        section = tree.neighbors(v)
+        assert section == ((v - r - 2) // (r - 1) + 2, *range(first, first + r - 1))
+        assert type(section) is tuple and all(type(w) is int for w in section)
+        assert list(section) == sorted(set(section)) and len(section) == r
+
+
+def test_tree_entourage_constructs_in_constant_memory():
+    # the deep-section display is generated on the first deep read, not here
+    tracemalloc.start()
+    try:
+        TreeEntourage(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 def test_explicit_entourage_is_symmetric_and_reflexive():

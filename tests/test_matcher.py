@@ -249,6 +249,21 @@ def test_step_budget_guards_lazy_queries(tree6):
     assert m.f(50) > 0  # the same matcher finishes once the budget lifts
 
 
+def test_step_budget_and_target_must_be_ints(tree6):
+    """A budget of -3 ran out "at step 0", and 2.5 as a budget or a target ran 3 steps."""
+    cp = json.loads(fresh(tree6, 4).checkpoint_json())
+    for limit, error in ((-3, ValueError), (2.5, TypeError), (3.0, TypeError), (True, TypeError)):
+        with pytest.raises(error, match="step_limit"):
+            fresh(tree6, 4, step_limit=limit)
+        with pytest.raises(error, match="step_limit"):
+            HaremMatcher.restore(double_graph(tree6), HallWitness.identity(), cp, step_limit=limit)
+    m = fresh(tree6, 4, step_limit=0)
+    for target in (2.5, 3.0):
+        with pytest.raises(TypeError, match="step must be an int"):
+            m.advance_to_step(target)
+    assert m.step == 0
+
+
 # -- checkpointing -----------------------------------------------------------------
 
 
