@@ -30,7 +30,8 @@ from .matcher import HaremMatcher, controlled_orbit
 class Entourage:
     """A symmetric reflexive relation on positive integers with finite sections.
 
-    A space defines neighbors(v); section and related derive from it.
+    A space defines neighbors(v), as a method or as a callable attribute;
+    section and related derive from it.
     """
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -56,7 +57,7 @@ class TreeEntourage(Entourage):
     """
 
     def __init__(self, r: int):
-        # r is formatted into the text that _deep generates, so only an int may reach it
+        # r is formatted into the text that neighbors generates, so only an int may reach it
         if type(r) is not int:
             raise TypeError(f"regular tree degree must be an int, got {r!r}")
         if r < 3:
@@ -67,39 +68,37 @@ class TreeEntourage(Entourage):
         self._offset = 4 - r
 
     @cached_property
-    def _deep(self) -> Callable[[int], tuple[int, ...]]:
-        """The section of a deep vertex v > r+1 as one tuple display; for r = 7:
+    def neighbors(self) -> Callable[[int], tuple[int, ...]]:
+        """The section of v as one function, generated from the text below.
 
-            def deep(v):
-                first = 6 * v + -3
-                return ((v - 3) // 6 + 1, first, first + 1, first + 2, first + 3, first + 4, first + 5)
-
-        Its length depends on r, so it is generated from its text, as namedtuple
-        generates __new__, on the first deep read: construction stays O(1) in r. It
-        builds a section in about 0.57x the time of unpacking a range into one.
+        Each section is the parent, then the children: parent < v < children, so
+        ascending. A deep section (v > r+1) is one tuple display; for r = 7 it is
+        ((v - 3) // 6 + 1, first, first + 1, ..., first + 5) with first = 6 * v - 3,
+        built in about 0.57x the time of unpacking a range. The shallow arm keeps its
+        range, so a float such as 2.5 raises TypeError there. The display's length
+        depends on r, so the text is generated, as namedtuple generates __new__, on
+        first access: construction stays O(1) in r, and a read is one call with no
+        method frame around it.
         """
-        k = self._k
+        k, offset = self._k, self._offset
         children = "".join(f", first + {i}" for i in range(1, k))
         namespace: dict = {}
-        exec(f"def deep(v):\n    first = {k} * v + {self._offset}\n"
-             f"    return ((v - 3) // {k} + 1, first{children})\n", namespace)
-        return namespace["deep"]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        k = self._k
-        # the parent, then the children: parent < v < children, so ascending
-        if v > k + 2:
-            return self._deep(v)
-        if v < 1:
-            raise ValueError("vertices are positive")
-        if v == 1:
-            return tuple(range(2, k + 3))
-        first = k * v + self._offset
-        return (1, *range(first, first + k))
+        exec(f"def neighbors(v):\n"
+             f"    if v > {k + 2}:\n"
+             f"        first = {k} * v + {offset}\n"
+             f"        return ((v - 3) // {k} + 1, first{children})\n"
+             f"    if v < 1:\n"
+             f"        raise ValueError(\"vertices are positive\")\n"
+             f"    if v == 1:\n"
+             f"        return tuple(range(2, {k + 3}))\n"
+             f"    first = {k} * v + {offset}\n"
+             f"    return (1, *range(first, first + {k}))\n", namespace)
+        return namespace["neighbors"]
 
 
 def double_graph(entourage: Entourage) -> SymmetricDoubleGraph:
-    """Bipartite double of the diagonal-free part of the entourage."""
+    """Bipartite double of the diagonal-free part of the entourage: the host reads
+    the entourage's neighbors callable as it is, unwrapped."""
     return SymmetricDoubleGraph(entourage.neighbors)
 
 

@@ -35,7 +35,16 @@ from .hall import HallWitness, solve_relaxed
 
 
 class MatcherBudgetError(RuntimeError):
-    """The step budget ran out before the requested vertex was settled."""
+    """The step budget ran out before the requested vertex was settled.
+
+    query is the lazy query that needed one more step ("f", "preimages" or
+    "advance_to_step"), vertex its argument (a vertex, or the target step), and
+    steps the steps the matcher had run.
+    """
+
+    def __init__(self, query: str, vertex: int, steps: int):
+        super().__init__(f"step budget exhausted after {steps} steps, at {query}({vertex})")
+        self.query, self.vertex, self.steps = query, vertex, steps
 
 
 class CycleControlError(RuntimeError):
@@ -319,19 +328,17 @@ class HaremMatcher:
             self._reserve_fan(holder, tuple(b for b in parts[holder] if b != target))
             return
 
-    def _forced_step(self) -> None:
-        """One run_step on behalf of a caller, unless the step budget is spent."""
+    def _forced_step(self, query: str, vertex: int) -> None:
+        """One run_step on behalf of query(vertex), unless the step budget is spent."""
         if self.step_limit is not None and self.step >= self.step_limit:
-            raise MatcherBudgetError(
-                f"step budget {self.step_limit} exhausted at step {self.step}"
-            )
+            raise MatcherBudgetError(query, vertex, self.step)
         self.run_step()
 
     def advance_to_step(self, n: int) -> None:
         if type(n) is not int:
             raise TypeError(f"step must be an int, got {n!r}")
         while self.step < n:
-            self._forced_step()
+            self._forced_step("advance_to_step", n)
 
     # -- the match function ------------------------------------------------
 
@@ -346,7 +353,7 @@ class HaremMatcher:
         while self.owner_of(n) == 0:
             if self.step > n:
                 raise RuntimeError(f"progress bound broken: b_{n} unmatched after step {self.step}")
-            self._forced_step()
+            self._forced_step("f", n)
         return self._owner[n]
 
     def preimages(self, a: int) -> tuple[int, ...]:
@@ -356,7 +363,7 @@ class HaremMatcher:
         while not self.a_removed(a):
             if self.step > a:
                 raise RuntimeError(f"progress bound broken: a_{a} live after step {self.step}")
-            self._forced_step()
+            self._forced_step("preimages", a)
         return self.partners_of(a)
 
     # -- checkpointing ------------------------------------------------------

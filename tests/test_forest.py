@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -87,7 +88,7 @@ def test_tree_deep_sections_match_arithmetic(r):
 
 
 def test_tree_entourage_constructs_in_constant_memory():
-    # the deep-section display is generated on the first deep read, not here
+    # the section function is generated on the first neighbors access, not here
     tracemalloc.start()
     try:
         TreeEntourage(10 ** 6)
@@ -95,6 +96,34 @@ def test_tree_entourage_constructs_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4096
+
+
+@pytest.mark.parametrize("r", [3, 7, 12])
+def test_a_deep_host_read_is_two_calls(r):
+    """neighbors_a, then the generated section function: no method frame between."""
+    host = double_graph(TreeEntourage(r))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        host.neighbors_a(10 ** 6)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["neighbors_a", "neighbors"]
+
+
+def test_tree_section_function_is_generated_once_per_tree():
+    tree = TreeEntourage(7)
+    assert double_graph(tree).section is tree.neighbors
+    assert tree.neighbors is tree.neighbors
+    assert TreeEntourage(7).neighbors is not tree.neighbors
+    # the shallow arm still builds its children from a range, which refuses a float
+    with pytest.raises(TypeError):
+        tree.neighbors(2.5)
 
 
 def test_explicit_entourage_is_symmetric_and_reflexive():

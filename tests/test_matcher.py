@@ -249,6 +249,18 @@ def test_step_budget_guards_lazy_queries(tree6):
     assert m.f(50) > 0  # the same matcher finishes once the budget lifts
 
 
+def test_budget_error_names_the_query_that_ran_out(tree6):
+    m = fresh(tree6, 4, step_limit=3)
+    for query, vertex, read in (("f", 50, m.f), ("preimages", 40, m.preimages),
+                                ("advance_to_step", 9, m.advance_to_step)):
+        with pytest.raises(MatcherBudgetError) as exc:
+            read(vertex)
+        err = exc.value
+        assert (err.query, err.vertex, err.steps) == (query, vertex, 3)
+        assert str(err) == f"step budget exhausted after 3 steps, at {query}({vertex})"
+    assert m.step == 3
+
+
 def test_step_budget_and_target_must_be_ints(tree6):
     """A budget of -3 ran out "at step 0", and 2.5 as a budget or a target ran 3 steps."""
     cp = json.loads(fresh(tree6, 4).checkpoint_json())
