@@ -22,18 +22,19 @@ from .forest import (
     ForestFunction,
     TreeEntourage,
     check_expansion,
-    double_graph,
     verify_forest,
 )
 from .graph import is_A_reflected
-from .hall import HallWitness
-from .matcher import HaremMatcher, verify_cycle_control
+from .matcher import verify_cycle_control
 from .wobbling import EdgeLabeling, WobblingPair, verify_free_semiregular
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -78,14 +79,6 @@ def _load_space(path: str):
     _fail(f"unknown space kind: {kind!r}")
 
 
-def _build(make, *args):
-    """make(*args); a host the matcher rejects is an input error (exit 2)."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        _fail(f"space cannot carry the construction: {exc}")
-
-
 def _random_connected_subset(ent: Entourage, rng: random.Random, size: int, span: int) -> set[int]:
     blob = {rng.randrange(1, span + 1)}
     while len(blob) < size:
@@ -117,7 +110,8 @@ def _expansion_samples(ent: Entourage, factor: int, seed: int) -> dict:
     return {"factor": factor, "samples": samples, "ok": not failures, "failures": failures}
 
 
-def _reflected_block(matcher: HaremMatcher, n: int) -> dict:
+def _reflected_block(forest: ForestFunction, n: int) -> dict:
+    matcher = forest.matcher
     upto = min(n, 40)
     numbers = range(1, upto + 1)  # the only ones is_A_reflected reads
     ok = is_A_reflected(matcher.graph, upto, set(filter(matcher.a_removed, numbers)),
@@ -125,14 +119,9 @@ def _reflected_block(matcher: HaremMatcher, n: int) -> dict:
     return {"ok": ok, "range": upto}
 
 
-def _report(out: Path, descriptor: dict, fields: dict, checks: dict) -> int:
-    """Write report.json; the run is ok, and exits 0, when every check is."""
-    ok = all(block["ok"] for block in checks.values())
-    _write_json(out / "report.json", {**fields, "ok": ok, "space": descriptor, "checks": checks})
-    return 0 if ok else 1
-
-
 # -- commands ------------------------------------------------------------------
+# Each command past gen-tree writes its own artifacts and returns the fields and
+# check blocks of its report.json, which main writes.
 
 
 def cmd_gen_tree(args) -> int:
@@ -141,9 +130,8 @@ def cmd_gen_tree(args) -> int:
     return 0
 
 
-def cmd_match(args, descriptor: dict, ent: Entourage) -> int:
-    out = Path(args.out)
-    matcher = _build(HaremMatcher, double_graph(ent), args.d, HallWitness.identity())
+def cmd_match(args, out: Path, forest: ForestFunction) -> tuple[dict, dict]:
+    matcher = forest.matcher
     pairs = sorted((matcher.f(b), b) for b in range(1, args.n + 1))
     _write_json(out / "matching.json", pairs)
     _write_dot(out, "matching", args.format, "graph matching",
@@ -153,64 +141,56 @@ def cmd_match(args, descriptor: dict, ent: Entourage) -> int:
     _write(out / "checkpoint.json", matcher.checkpoint_json())
     checks = {
         "cycle_control": verify_cycle_control(matcher.f, args.n),
-        "reflected": _reflected_block(matcher, args.n),
+        "reflected": _reflected_block(forest, args.n),
         # the matching itself only needs one spare neighbor per point beyond
         # degree, hence the d+1 expansion level here
-        "expansion": _expansion_samples(ent, args.d + 1, args.seed),
+        "expansion": _expansion_samples(forest.entourage, args.d + 1, args.seed),
     }
-    fields = {"command": "match", "d": args.d, "n": args.n, "steps": matcher.step}
-    return _report(out, descriptor, fields, checks)
+    return {"command": "match", "d": args.d, "n": args.n, "steps": matcher.step}, checks
 
 
-def cmd_forest(args, descriptor: dict, ent: Entourage) -> int:
-    out = Path(args.out)
-    forest = _build(ForestFunction, ent, args.d)
+def cmd_forest(args, out: Path, forest: ForestFunction) -> tuple[dict, dict]:
     checks = {"forest": verify_forest(forest, args.n),
-              "expansion": _expansion_samples(ent, args.d + 2, args.seed)}
+              "expansion": _expansion_samples(forest.entourage, args.d + 2, args.seed)}
     edges = [[v, forest.f_star(v)] for v in range(1, args.n + 1)]
     roots = list(forest.roots_up_to(args.n))
     _write_json(out / "forest.json", {"edges": edges, "roots": roots})
     _write_dot(out, "forest", args.format, "digraph forest",
                (f'"{root}" [shape=doublecircle]' for root in roots),
                (f'"{v}" -> "{w}"' for v, w in edges))
-    return _report(out, descriptor, {"command": "forest", "d": args.d, "n": args.n}, checks)
+    return {"command": "forest", "d": args.d, "n": args.n}, checks
 
 
-def cmd_wobble(args, descriptor: dict, ent: Entourage) -> int:
-    out = Path(args.out)
-    pair = WobblingPair(EdgeLabeling(_build(ForestFunction, ent, 4)))
+def cmd_wobble(args, out: Path, forest: ForestFunction) -> tuple[dict, dict]:
+    pair = WobblingPair(EdgeLabeling(forest))
     checks = {"wobbling": verify_free_semiregular(pair, args.word_len, args.n),
-              "expansion": _expansion_samples(ent, 6, args.seed)}
+              "expansion": _expansion_samples(forest.entourage, 6, args.seed)}
     labels = {str(v): list(pair.labeling.directions(v)) for v in range(1, args.n + 1)}
     _write_json(out / "wobble.json", labels)
     # directions are listed a+, a-, b+, b-: alpha is the first, beta the third
     _write_dot(out, "wobble", args.format, "digraph wobbling",
                (f'"{v}" -> "{dirs[0]}" [label="a"]' for v, dirs in labels.items()),
                (f'"{v}" -> "{dirs[2]}" [label="b"]' for v, dirs in labels.items()))
-    fields = {"command": "wobble", "n": args.n, "word_len": args.word_len}
-    return _report(out, descriptor, fields, checks)
+    return {"command": "wobble", "n": args.n, "word_len": args.word_len}, checks
 
 
-def cmd_verify(args, descriptor: dict, ent: Entourage) -> int:
-    out = Path(args.out)
-    forest = _build(ForestFunction, ent, args.d)
+def cmd_verify(args, out: Path, forest: ForestFunction) -> tuple[dict, dict]:
     checks = {
         "cycle_control": verify_cycle_control(forest.matcher.f, args.n),
         "forest": verify_forest(forest, args.n),
-        "expansion_match": _expansion_samples(ent, args.d + 1, args.seed),
-        "expansion_forest": _expansion_samples(ent, args.d + 2, args.seed + 1),
+        "expansion_match": _expansion_samples(forest.entourage, args.d + 1, args.seed),
+        "expansion_forest": _expansion_samples(forest.entourage, args.d + 2, args.seed + 1),
     }
     if args.d == 4:
         pair = WobblingPair(EdgeLabeling(forest))
         checks["wobbling"] = verify_free_semiregular(pair, args.word_len, min(args.n, 24))
     else:
         checks["wobbling"] = {"ok": True, "skipped": f"needs d=4, ran with d={args.d}"}
-    checks["reflected"] = _reflected_block(forest.matcher, args.n)
+    checks["reflected"] = _reflected_block(forest, args.n)
+    _write(out / "checkpoint.json", forest.matcher.checkpoint_json())
     fields = {"command": "verify", "d": args.d, "n": args.n, "seed": args.seed,
               "word_len": args.word_len}
-    code = _report(out, descriptor, fields, checks)
-    _write(out / "checkpoint.json", forest.matcher.checkpoint_json())
-    return code
+    return fields, checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,44 +205,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_gen_tree)
 
-    common = {
-        "--space": dict(required=True, help="path to a space descriptor"),
-        "--out": dict(default=".", help="output directory"),
-        "--seed": dict(type=int, default=7, help="seed for sampled checks"),
-        "--format": dict(choices=("json", "dot"), default="json",
-                         help="also emit DOT next to the JSON artifacts"),
-    }
+    def space_command(name: str, about: str, fn, dot: bool = True, **defaults):
+        """A command that reads --space; dot adds --format."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--space", required=True, help="path to a space descriptor")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=7, help="seed for sampled checks")
+        if dot:
+            p.add_argument("--format", choices=("json", "dot"), default="json",
+                           help="also emit DOT next to the JSON artifacts")
+        p.set_defaults(fn=fn, **defaults)
+        return p
 
-    p = sub.add_parser("match", help="run the matching construction and its checks")
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
+    p = space_command("match", "run the matching construction and its checks", cmd_match)
     p.add_argument("--d", type=int, required=True, help="each point gets d-1 partners")
     p.add_argument("--n", type=int, default=60, help="settle the matching on 1..n")
-    p.set_defaults(fn=cmd_match)
 
-    p = sub.add_parser("forest", help="derive the d-regular forest and verify it")
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
+    p = space_command("forest", "derive the d-regular forest and verify it", cmd_forest)
     p.add_argument("--d", type=int, required=True, help="forest degree")
     p.add_argument("--n", type=int, default=60, help="verify on 1..n")
-    p.set_defaults(fn=cmd_forest)
 
-    p = sub.add_parser("wobble", help="derive the permutation pair and verify freeness")
-    for flag, kw in common.items():
-        p.add_argument(flag, **kw)
+    # the wobbling pair needs a 4-regular forest
+    p = space_command("wobble", "derive the permutation pair and verify freeness", cmd_wobble, d=4)
     p.add_argument("--n", type=int, default=60, help="check points 1..n")
     p.add_argument("--word-len", type=int, default=2, help="reduced word length bound")
-    p.set_defaults(fn=cmd_wobble)
 
-    p = sub.add_parser("verify", help="full deterministic verification suite")
-    for flag, kw in common.items():
-        if flag == "--format":
-            continue
-        p.add_argument(flag, **kw)
+    p = space_command("verify", "full deterministic verification suite", cmd_verify, dot=False)
     p.add_argument("--d", type=int, default=4, help="construction degree")
     p.add_argument("--n", type=int, default=40, help="verify on 1..n")
     p.add_argument("--word-len", type=int, default=2, help="reduced word length bound")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
@@ -280,13 +251,21 @@ def main(argv=None) -> int:
         parser.error("--word-len must be positive")
     if args.command == "gen-tree":
         return args.fn(args)
-    # every command past gen-tree reads a space; it is loaded once, here
+    # every command past gen-tree reads a space, loaded once, and runs on one construction
     descriptor, ent = _load_space(args.space)
+    out = Path(args.out)
     try:
-        return args.fn(args, descriptor, ent)
+        try:
+            forest = ForestFunction(ent, args.d)
+        except ValueError as exc:  # a host the matcher rejects is an input error
+            _fail(f"space cannot carry the construction: {exc}")
+        fields, checks = args.fn(args, out, forest)
+        ok = all(block["ok"] for block in checks.values())
+        _write_json(out / "report.json", {**fields, "ok": ok, "space": descriptor, "checks": checks})
     except MemoryError:
         # such as the first ball of a tree whose degree runs to the hundred thousands
         _fail("space cannot carry the construction: out of memory")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

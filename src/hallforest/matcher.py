@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left
 from itertools import chain, compress, count
 from typing import Callable, Sequence
 
@@ -476,8 +475,8 @@ class HaremMatcher:
             if step and (step > len(removed_a) or removed_a[step - 1] != step):
                 raise ValueError(f"corrupt checkpoint: step {step} has not retired 1..{step}")
             m.step = step
-            # removed_a[i] - i is 1 along the run 1, 2, ..., k of retired numbers, then larger
-            m._cursor = 1 + bisect_left(range(len(removed_a)), 2, key=lambda i: removed_a[i] - i)
+            # 1..step are retired, and run_step skips any retired numbers past them
+            m._cursor = step + 1
         except (KeyError, TypeError) as exc:
             raise ValueError(f"corrupt checkpoint: {exc!r}") from exc
         return m

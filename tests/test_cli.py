@@ -114,7 +114,7 @@ def test_verify_reruns_are_byte_identical(tree7_space, tmp_path):
 
 
 def test_each_check_returns_its_report_block(tree7_space, tmp_path):
-    # cmd_verify stores each check's return value in report.json unchanged
+    # main stores each check's return value in report.json unchanged
     assert run("verify", "--space", tree7_space, "--d", 4, "--n", 12,
                "--word-len", 1, "--out", tmp_path / "v") == 0
     checks = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
@@ -241,6 +241,21 @@ def test_host_below_the_degree_exits_two(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "has degree 3 < 5" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_exits_two(tree7_space, tmp_path, capsys):
+    # a file where --out needs a directory: one stderr line, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    for argv in (["gen-tree", "--r", 7, "--out", blocker / "x"],
+                 ["verify", "--space", tree7_space, "--n", 4, "--word-len", 1, "--out", blocker]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"cannot write {blocker}")
+    assert blocker.read_text() == ""
 
 
 def test_a_space_whose_ball_outgrows_memory_exits_two(tmp_path):

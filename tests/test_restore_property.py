@@ -10,8 +10,6 @@ of the fans, and whose state passes audit().
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,7 +121,8 @@ def audit(m: HaremMatcher, check: bool) -> None:
         assert root not in retired and len(fan) == d1
         assert all(graph.adjacent(root, b) for b in fan)
     assert retired <= taken  # the mirror rule
-    assert m._cursor == next(a for a in itertools.count(1) if not m.a_removed(a))
+    # run_step takes the first live number from the cursor on, so none may lie below it
+    assert all(map(m.a_removed, range(1, m._cursor)))
 
 
 @given(data=st.data(), base=st.integers(0, 2), check=st.booleans(),
