@@ -138,6 +138,11 @@ class Classification(NamedTuple):
         return self.kind == "root" or (self.kind == "root_ray" and self.height % 2 == 0)
 
 
+# the ray a transient point may extend, by the kind of its f-image
+_RAY_ABOVE = {"root": "root_ray", "root_ray": "root_ray",
+              "image": "image_ray", "image_ray": "image_ray"}
+
+
 class ForestFunction:
     """The forest step f* and its neighbor structure over an entourage."""
 
@@ -153,6 +158,10 @@ class ForestFunction:
             double_graph(entourage), d, HallWitness.identity(), step_limit=step_limit)
         self._ltp: dict[int, int] = {}
         self._class: dict[int, Classification] = {}
+        # every classified point's (tail, period): its hops to its cycle and the
+        # cycle's length; the walks stop at these points
+        self._reach: dict[int, tuple[int, int]] = {}
+        self._pred: dict[int, int] = {}  # every classified periodic point's cycle predecessor
         self._star: dict[int, int] = {}
 
     # -- the underlying match function --------------------------------------
@@ -167,14 +176,19 @@ class ForestFunction:
         """The least f-preimage of n that is not periodic.
 
         A preimage p of n is periodic exactly when n is and p is n's cycle
-        predecessor, the last point of n's orbit. So one walk, n's own, tells
-        the periodic preimage apart.
+        predecessor. A classified n's predecessor, if it has one, is in the
+        memo; an unclassified n's walk, which stops at the first classified
+        point, returns to n exactly when n is periodic, and then ends on the
+        predecessor.
         """
         hit = self._ltp.get(n)
         if hit is not None:
             return hit
-        orbit, first = controlled_orbit(self.f, n)
-        periodic = orbit[-1] if first == 0 else None
+        if n in self._class:
+            periodic = self._pred.get(n)
+        else:
+            orbit, first = controlled_orbit(self.f, n, self._reach)
+            periodic = orbit[-1] if first == 0 else None
         options = [p for p in self.f_preimages(n) if p != periodic]
         if not options:
             raise RuntimeError(f"{n} has no transient preimage; needs d >= 3")
@@ -185,25 +199,42 @@ class ForestFunction:
     # -- classification ------------------------------------------------------
 
     def classify(self, u: int) -> Classification:
+        """u's Classification, and that of every point its orbit walk reads.
+
+        The walk stops at the first classified point or at a repeat, which
+        closes a new cycle, so f is read once per classified point. Each new
+        point down that walk is then classified from its f-image, nearest the
+        cycle first: a transient point lies on a ray exactly when its image
+        is that ray's anchor or on that ray, and it is the least transient
+        preimage of its image. Its height is then its image's plus one.
+        """
         hit = self._class.get(u)
         if hit is not None:
             return hit
-        orbit, first = controlled_orbit(self.f, u)
-        cycle = orbit[first:]
-        root = min(cycle)
-        image = cycle[(cycle.index(root) + 1) % len(cycle)]
-        for v in cycle:
-            kind = "root" if v == root else ("image" if v == image else "cycle")
-            self._class.setdefault(v, Classification(kind, 0, root))
-        # A transient point lies on a ray exactly when its walk enters the
-        # cycle at that ray's anchor and every step of the walk from the
-        # point on was the least transient preimage of the next.
-        anchored = "root_ray" if cycle[0] == root else ("image_ray" if cycle[0] == image else None)
+        reach = self._reach
+        orbit, first = controlled_orbit(self.f, u, reach)
+        joined = reach.get(orbit[first])
+        if joined is None:
+            cycle = orbit[first:]
+            root = min(cycle)
+            image = cycle[(cycle.index(root) + 1) % len(cycle)]
+            joined = (0, len(cycle))
+            for pred, v in zip(cycle[-1:] + cycle[:-1], cycle):
+                kind = "root" if v == root else ("image" if v == image else "cycle")
+                self._class[v] = Classification(kind, 0, root)
+                reach[v] = joined
+                self._pred[v] = pred
+        tail, period = joined
+        below = self._class[orbit[first]]
         for i in range(first - 1, -1, -1):
-            if anchored and self.least_transient_preimage(orbit[i + 1]) != orbit[i]:
-                anchored = None
-            height = first - i if anchored else 0
-            self._class.setdefault(orbit[i], Classification(anchored or "plain", height, root))
+            ray = _RAY_ABOVE.get(below.kind)
+            if ray and self.least_transient_preimage(orbit[i + 1]) == orbit[i]:
+                below = Classification(ray, below.height + 1, below.root)
+            else:
+                below = Classification("plain", 0, below.root)
+            tail += 1
+            self._class[orbit[i]] = below
+            reach[orbit[i]] = (tail, period)
         return self._class[u]
 
     # -- the forest step -----------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from array import array
 from itertools import chain, compress, count
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness, solve_relaxed
@@ -345,10 +345,13 @@ class HaremMatcher:
         """The A-number matched to b_n, running steps on demand.
 
         b_n is settled no later than step n; a clean progress bound, so a
-        violation raises instead of looping.
+        violation raises instead of looping. A settled b_n is one array read.
         """
         if n < 1:
             raise ValueError("vertices are positive")
+        owner = self._owner
+        if n < len(owner) and (a := owner[n]):
+            return a
         while self.owner_of(n) == 0:
             if self.step > n:
                 raise RuntimeError(f"progress bound broken: b_{n} unmatched after step {self.step}")
@@ -482,41 +485,61 @@ class HaremMatcher:
         return m
 
 
-def controlled_orbit(f: Callable[[int], int], n: int) -> tuple[list[int], int]:
-    """n's f-orbit up to its first repeat, and the index where the cycle starts.
+def controlled_orbit(f: Callable[[int], int], n: int,
+                     known: Mapping[int, tuple[int, int]]) -> tuple[list[int], int]:
+    """n's f-orbit up to its first repeat or its first known point, and the
+    index where the walk joined: where the cycle starts, or that known point.
 
     The package's one f-orbit walk, and the one check of cycle control: the
     orbit enters its cycle within 2n steps, and the cycle's period is at most
     max(2, n), so the repeat comes within 3n + 2 calls of f. A violation
     raises CycleControlError instead of walking on. f is called along the
-    orbit in order, so a lazy f settles exactly what the walk reads. The
-    orbit holds distinct points; f of its last point is orbit[first].
+    orbit in order, so a lazy f settles exactly what the walk reads.
+
+    known maps points whose orbits were walked before, n not among them, to
+    (entry, period): the hops from that point to its cycle, and the cycle's
+    length. It holds every point of each such orbit. The walk stops at the
+    first known point k, which ends the orbit as orbit[first]; the new points
+    before it lie off k's orbit, so the bounds are checked on entry = first +
+    k's entry and k's period, and the error is the one a walk on through k's
+    settled orbit would raise. Otherwise the walk ends at its first repeat,
+    and f of its last point is orbit[first]. The orbit's points are distinct.
     """
     orbit = [n]
     index = {n: 0}
     x = n
-    for _ in range(3 * n + 2):
+    limit = 3 * n + 2
+    for _ in range(limit):
         x = f(x)
         first = index.get(x)
         if first is not None:
-            period = len(orbit) - first
-            if first > 2 * n or period > max(2, n):
-                raise CycleControlError(f"cycle control broken at {n}: entry {first}, period {period}")
-            return orbit, first
+            entry, period = first, len(orbit) - first
+            break
         index[x] = len(orbit)
         orbit.append(x)
-    raise CycleControlError(f"cycle control broken at {n}: no repeat within {3 * n + 2} steps")
+        hit = known.get(x)
+        if hit is not None:
+            first = len(orbit) - 1
+            entry, period = first + hit[0], hit[1]
+            break
+    else:
+        entry = period = limit  # neither a repeat nor a known point within limit calls
+    if entry + period > limit:
+        raise CycleControlError(f"cycle control broken at {n}: no repeat within {limit} steps")
+    if entry > 2 * n or period > max(2, n):
+        raise CycleControlError(f"cycle control broken at {n}: entry {entry}, period {period}")
+    return orbit, first
 
 
 def verify_cycle_control(f: Callable[[int], int], upto: int) -> dict:
     """The cycle_control report block: walk every orbit with start 2..upto
-    through controlled_orbit, counting the periodic and the transient starts
-    and listing each violation of cycle control."""
+    in full through controlled_orbit, counting the periodic and the transient
+    starts and listing each violation of cycle control."""
     periodic = transient = 0
     violations = []
     for n in range(2, upto + 1):
         try:
-            _, k = controlled_orbit(f, n)
+            _, k = controlled_orbit(f, n, {})
         except CycleControlError as exc:
             violations.append(str(exc))
             continue

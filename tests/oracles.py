@@ -9,7 +9,8 @@ exactly when the harem condition holds, which makes the two functions
 independent oracles for one another. oracle_double_ball is the textbook
 alternating BFS ball in the bipartite double of an explicit adjacency.
 plain_first_repeat walks an orbit to its first repeat, the reference for
-the cycle-control bounds.
+the cycle-control bounds. FullWalkClassifier classifies a point of the
+forest by walking its whole orbit, with no memo.
 
 Nothing here imports hallforest (tests/test_hall.py checks that), so the
 references share no code with what they check.
@@ -240,3 +241,40 @@ def plain_first_repeat(f: Callable[[int], int], n: int, calls: int) -> tuple[int
             return seen[x], len(seen) - seen[x]
         seen[x] = len(seen)
     raise AssertionError(f"the orbit of {n} does not repeat within {calls} calls of f")
+
+
+class FullWalkClassifier:
+    """The forest's point classification, recomputed from scratch per query.
+
+    Every query walks its point's whole f-orbit to the first repeat, and every
+    ray check walks the checked point's orbit again; nothing is remembered.
+    classify returns (kind, height, root), which a Classification equals.
+    """
+
+    def __init__(self, f: Callable[[int], int], preimages: Callable[[int], Sequence[int]]):
+        self.f, self.preimages = f, preimages
+
+    def orbit(self, n: int) -> tuple[list[int], int]:
+        entry, period = plain_first_repeat(self.f, n, 3 * n + 2)
+        orbit = [n]
+        for _ in range(entry + period - 1):
+            orbit.append(self.f(orbit[-1]))
+        return orbit, entry
+
+    def least_transient_preimage(self, n: int) -> int:
+        orbit, entry = self.orbit(n)
+        periodic = orbit[-1] if entry == 0 else None
+        return min(p for p in self.preimages(n) if p != periodic)
+
+    def classify(self, u: int) -> tuple[str, int, int]:
+        orbit, entry = self.orbit(u)
+        cycle = orbit[entry:]
+        root = min(cycle)
+        image = cycle[(cycle.index(root) + 1) % len(cycle)]
+        if entry == 0:
+            return ("root" if u == root else "image" if u == image else "cycle", 0, root)
+        ray = "root_ray" if cycle[0] == root else "image_ray" if cycle[0] == image else None
+        for i in range(entry - 1, -1, -1):
+            if ray and self.least_transient_preimage(orbit[i + 1]) != orbit[i]:
+                ray = None
+        return (ray, entry, root) if ray else ("plain", 0, root)

@@ -16,8 +16,10 @@ from hallforest import (
     double_graph,
     verify_forest,
 )
+from hallforest.matcher import CycleControlError
 
 from conftest import ExplicitEntourage, bfs_tree_adjacency
+from oracles import FullWalkClassifier
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +276,85 @@ def test_classify_raises_on_an_orbit_that_breaks_cycle_control(tree6):
         with pytest.raises(RuntimeError, match=f"cycle control broken at 5: {message}"):
             forest.classify(5)
         assert calls == list(range(5, stop))
+
+
+def test_classify_reads_f_once_per_classified_point(tree7):
+    # each walk stops at the first classified point, whose tail and period are
+    # remembered; walking every orbit down to its cycle read f 822 times here
+    forest = ForestFunction(tree7, 4)
+    calls = []
+    forest.f = lambda x, f=forest.f: calls.append(x) or f(x)
+    for u in range(1, 301):
+        forest.classify(u)
+    assert len(calls) == len(set(calls)) == len(forest._class) == 428
+    assert forest.matcher.step == 273
+
+
+@pytest.mark.parametrize("host, d", [("tree6", 3), ("tree7", 4), ("swapped7", 4)])
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_classify_against_full_walks(request, host, d, order):
+    """The memo's answers and forced steps equal those of a classifier that
+    walks every orbit in full and remembers nothing, query by query."""
+    entourage = request.getfixturevalue(host)
+    forest, other = ForestFunction(entourage, d), ForestFunction(entourage, d)
+    oracle = FullWalkClassifier(other.f, other.f_preimages)
+    points = list(range(1, 201))
+    if order == "shuffled":
+        random.Random(26).shuffle(points)
+    for n in points:
+        assert forest.classify(n) == oracle.classify(n), n
+        assert forest.least_transient_preimage(n) == oracle.least_transient_preimage(n), n
+        assert forest.matcher.step == other.matcher.step, n
+
+
+def test_classify_against_full_walks_on_a_three_cycle(tree6):
+    # the trees' f-cycles all have period 2, where a cycle point's predecessor is
+    # also its successor; here 3 -> 4 -> 5 -> 3 tells them apart, 1 <-> 2 is the
+    # other cycle, and every n >= 6 maps to n // 2 - 2
+    cycles = {1: 2, 2: 1, 3: 4, 4: 5, 5: 3}
+
+    def f(n):
+        return cycles[n] if n < 6 else n // 2 - 2
+
+    def preimages(n):
+        return tuple(sorted([p for p, q in cycles.items() if q == n] + [2 * n + 4, 2 * n + 5]))
+
+    forest = ForestFunction(tree6, 3)
+    forest.f, forest.f_preimages = f, preimages
+    oracle = FullWalkClassifier(f, preimages)
+    points = list(range(1, 61))
+    random.Random(26).shuffle(points)
+    for n in points:
+        assert forest.classify(n) == oracle.classify(n), n
+        assert forest.least_transient_preimage(n) == oracle.least_transient_preimage(n), n
+    assert [forest.classify(n).kind for n in (3, 4, 5)] == ["root", "image", "cycle"]
+    assert forest.least_transient_preimage(3) == 10
+
+
+@pytest.mark.parametrize("start, message", [
+    (5, "entry 15, period 2"), (4, "no repeat within 14 steps")])
+def test_a_walk_through_a_classified_point_checks_the_whole_orbit(tree6, start, message):
+    # 8 -> 9 -> ... -> 20 <-> 21 is within 8's bounds, so 8 is classified; from 4
+    # or 5 the same orbit enters too late, and the walk that stops at 8 must say
+    # what a walk on to the cycle says. The preimages only feed the ray checks.
+    def f(x):
+        return 20 if x == 21 else x + 1
+
+    cold = ForestFunction(tree6, 3)
+    cold.f = f
+    with pytest.raises(CycleControlError) as walked:
+        cold.classify(start)
+    warm = ForestFunction(tree6, 3)
+    calls = []
+    warm.f = lambda x: calls.append(x) or f(x)
+    warm.f_preimages = lambda x: (x - 1, 3 * x)
+    assert warm.classify(8) == ("root_ray", 12, 20)
+    calls.clear()
+    expected = f"^cycle control broken at {start}: {message}$"
+    with pytest.raises(CycleControlError, match=expected) as known:
+        warm.classify(start)
+    assert str(known.value) == str(walked.value)
+    assert calls == list(range(start, 8))
 
 
 def test_roots_prefix_pin(forest63):
