@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
-from .matcher import HaremMatcher, controlled_orbit
+from .matcher import HaremMatcher, check_cycle_control, controlled_orbit
 
 
 class Entourage:
@@ -137,6 +137,12 @@ class Classification(NamedTuple):
         """Whether the forest step from here climbs two places up the root ray."""
         return self.kind == "root" or (self.kind == "root_ray" and self.height % 2 == 0)
 
+    @property
+    def descends_twice(self) -> bool:
+        """Whether the forest step from here, unless it climbs, takes two f-hops
+        down: from a ray point at height >= 2."""
+        return self.kind in ("root_ray", "image_ray") and self.height >= 2
+
 
 # the ray a transient point may extend, by the kind of its f-image
 _RAY_ABOVE = {"root": "root_ray", "root_ray": "root_ray",
@@ -202,37 +208,46 @@ class ForestFunction:
         """u's Classification, and that of every point its orbit walk reads.
 
         The walk stops at the first classified point or at a repeat, which
-        closes a new cycle, so f is read once per classified point. Each new
-        point down that walk is then classified from its f-image, nearest the
-        cycle first: a transient point lies on a ray exactly when its image
-        is that ray's anchor or on that ray, and it is the least transient
-        preimage of its image. Its height is then its image's plus one.
+        closes a new cycle, so f is read once per classified point. Every
+        point the walk classifies must keep cycle control, checked on its tail
+        and period before it is remembered, so a broken f raises what a walk
+        from that point would, whichever point is asked first. Each new point
+        down that walk is then classified from its f-image, nearest the cycle
+        first: a transient point lies on a ray exactly when its image is that
+        ray's anchor or on that ray, and it is the least transient preimage of
+        its image. Its height is then its image's plus one.
         """
         hit = self._class.get(u)
         if hit is not None:
             return hit
         reach = self._reach
-        orbit, first = controlled_orbit(self.f, u, reach)
-        joined = reach.get(orbit[first])
-        if joined is None:
+        orbit, first = controlled_orbit(self.f, u, reach)  # which checks u
+        known = reach.get(orbit[first])
+        tail, period = known or (0, len(orbit) - first)
+        # the period bound, period <= max(2, v), of every point before any is remembered:
+        # a cycle point remembered before another failed would make the other's walk transient
+        if period > 2 and period > min(orbit):
+            for i, v in enumerate(orbit):
+                check_cycle_control(v, max(first - i, 0) + tail, period)
+        if known is None:
             cycle = orbit[first:]
             root = min(cycle)
             image = cycle[(cycle.index(root) + 1) % len(cycle)]
-            joined = (0, len(cycle))
             for pred, v in zip(cycle[-1:] + cycle[:-1], cycle):
                 kind = "root" if v == root else ("image" if v == image else "cycle")
                 self._class[v] = Classification(kind, 0, root)
-                reach[v] = joined
+                reach[v] = (0, period)
                 self._pred[v] = pred
-        tail, period = joined
         below = self._class[orbit[first]]
         for i in range(first - 1, -1, -1):
+            tail += 1
+            if tail > 2 * orbit[i]:  # the entry bound of each transient point, before it is remembered
+                check_cycle_control(orbit[i], tail, period)
             ray = _RAY_ABOVE.get(below.kind)
             if ray and self.least_transient_preimage(orbit[i + 1]) == orbit[i]:
                 below = Classification(ray, below.height + 1, below.root)
             else:
                 below = Classification("plain", 0, below.root)
-            tail += 1
             self._class[orbit[i]] = below
             reach[orbit[i]] = (tail, period)
         return self._class[u]
@@ -242,7 +257,7 @@ class ForestFunction:
     def _descent(self, x: int, info: Classification) -> tuple[int, ...]:
         """The route by f: two hops from a ray point at height >= 2, else one."""
         mid = self.f(x)
-        if info.kind in ("root_ray", "image_ray") and info.height >= 2:
+        if info.descends_twice:
             return (x, mid, self.f(mid))
         return (x, mid)
 
@@ -283,24 +298,29 @@ class ForestFunction:
     def f_star_preimages(self, x: int) -> tuple[int, ...]:
         """All u with f*(u) = x; exactly d - 1 of them.
 
-        Candidates are the f-preimages plus the single possible ray jump,
-        which only exists when x itself is classified on a ray (or anchors
-        one), so no climbing happens for plain points.
-
-        An f-preimage u whose own step climbs (a root, or a root-ray point
-        at even height) is dropped on its classification alone: f*(u) =
+        Each f-preimage u is decided on its classification alone. If its own
+        step climbs (a root, or a root-ray point at even height), f*(u) =
         up(up(u)) = x would close the f-cycle x -> up(u) -> u -> x through
-        up(u), which is transient by definition. Evaluating that climb
-        would settle partners a tree level beyond every neighbor of x.
+        up(u), which is transient by definition; evaluating that climb would
+        settle partners a tree level beyond every neighbor of x. Otherwise
+        f*(u) = f(u) = x, unless u descends twice, to f(x), which is not x on
+        a diagonal-free host.
+
+        The one other candidate is the single possible ray jump, which only
+        exists when x itself is classified on a ray (or anchors one), so no
+        climbing happens for plain points; it goes through f_star.
         """
         info = self.classify(x)
-        cands = {u for u in self.f_preimages(x) if not self.classify(u).climbs}
+        found = [u for u in self.f_preimages(x)
+                 if not ((c := self.classify(u)).climbs or c.descends_twice)]
         up = self.least_transient_preimage
         if info.kind == "root_ray" and info.height % 2 == 0:
-            cands.add(self.f(self.f(x)))
+            jump = self.f(self.f(x))
         elif info.kind in ("root_ray", "image_ray", "image"):
-            cands.add(up(up(x)))
-        return tuple(sorted(u for u in cands if self.f_star(u) == x))
+            jump = up(up(x))
+        else:
+            return tuple(found)
+        return tuple(sorted(found + [jump] if self.f_star(jump) == x else found))
 
     def forest_neighbors(self, x: int) -> tuple[int, ...]:
         return tuple(sorted(self.f_star_preimages(x) + (self.f_star(x),)))

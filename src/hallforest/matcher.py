@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import chain, compress, count
+from itertools import compress, count
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .graph import SymmetricDoubleGraph
@@ -47,7 +48,7 @@ class MatcherBudgetError(RuntimeError):
 
 
 class CycleControlError(RuntimeError):
-    """An f-orbit breaks the cycle-control bounds that controlled_orbit checks."""
+    """An f-orbit breaks the cycle-control bounds that check_cycle_control checks."""
 
 
 def _grow(slots: array, size: int) -> None:
@@ -376,7 +377,8 @@ class HaremMatcher:
     def checkpoint_json(self) -> str:
         """The format's one writer: compact JSON, keys sorted, ending in a newline.
 
-        Keys: committed, every pair [a, b] in (a, b) order; d; fans, each {"leaves":
+        Keys: committed, every pair [a, b] in (a, b) order: a ascending, and each a's
+        d-1 partners ascending, the one order restore reads; d; fans, each {"leaves":
         [...], "root": r}, by root; removed_a and removed_b, ascending; step. The text
         is json.dumps(..., sort_keys=True, separators=(",", ":")) + "\\n" of them,
         written off the state arrays with no object per committed pair.
@@ -400,18 +402,17 @@ class HaremMatcher:
     ) -> "HaremMatcher":
         """Rebuild a matcher from checkpoint(); ValueError on a corrupt one.
 
-        Fans go through _reserve_fan's ledger checks, and two rules are
-        checked: every retired A-number's B-copy is committed (the mirror
-        rule), and step s has retired 1..s. Committed pairs are recorded
-        without an adjacency lookup, which would cost one section per
-        retired vertex; check=True refuses a non-edge. Values are not
-        type-checked one by one: a missing key or a value of the wrong
-        type fails on its way in with KeyError or TypeError, and that failure
-        is the ValueError's cause. JSON true, which equals 1, is refused as
-        the step and as a vertex number.
-
-        The cost is linear in the committed pairs: each retired vertex's
-        slots and owner entries are written straight into arrays grown once.
+        One pass over committed, in the writer's order (see checkpoint_json),
+        writes each partner slot and owner entry, refusing pairs out of that order,
+        an a with other than d-1 partners and a B-number committed twice; removed_a
+        and removed_b must list what it wrote. Fans pass _reserve_fan's ledger
+        checks; the mirror rule (every retired A-number's B-copy is committed) and
+        the step rule (step s has retired 1..s) are checked. Pairs are not looked up
+        in the host, at one section per retired vertex; check=True refuses a
+        non-edge with AssertionError after the structural checks. A missing key, a
+        wrong type or a number past the arrays fails with KeyError, TypeError or
+        IndexError, the ValueError's cause. JSON true, which equals 1, is refused
+        as the step and as a vertex number.
         """
         _check_step_limit(step_limit)  # here, where its TypeError is no corrupt checkpoint
         try:
@@ -420,53 +421,55 @@ class HaremMatcher:
             if type(step) is not int or step < 0:
                 raise ValueError(f"corrupt checkpoint: step {step!r} is not a non-negative integer")
             committed = checkpoint["committed"]
-            grouped: dict[int, list[int]] = {}
-            try:
-                for a, b in committed:
-                    grouped.setdefault(a, []).append(b)
-                # true == 1 and hashes alike, so it can pass only for vertex 1. The
-                # pairs of a_1 come first in checkpoint() order, where index finds them.
-                ones = [committed[committed.index([1, b])][0] for b in grouped.get(1, ())]
-            except ValueError as exc:
-                raise ValueError(f"corrupt checkpoint: a committed pair is not [a, b]: {exc}") from exc
-            removed_a = sorted(grouped)
-            if removed_a != list(checkpoint["removed_a"]):
-                raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
-            removed_b = sorted(chain.from_iterable(grouped.values()))
-            if removed_b != list(checkpoint["removed_b"]):
-                raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
-            # Numbers outside 1..2^31-1 are refused before any array grows: the arrays
-            # are indexed by number, slot 0 is no vertex, a negative index counts from
-            # the far end, and array("i") holds no 2^31. Sorted lists start with their
-            # least and end with their greatest.
+            removed_a, removed_b = list(checkpoint["removed_a"]), list(checkpoint["removed_b"])
+            # Numbers outside 1..2^31-1 are refused before an array grows: slot 0 is no vertex, a negative
+            # index counts from the end, array("i") has no 2^31. The lists must be sorted, so ends suffice.
             fans = [(fan["root"], tuple(fan["leaves"])) for fan in checkpoint["fans"]]
             fanned = [v for root, leaves in fans for v in (root,) + leaves]
             ends = removed_a[:1] + removed_a[-1:] + removed_b[:1] + removed_b[-1:] + fanned
             wrong = [v for v in ends if not 0 < v < 2 ** 31]
             if wrong:
                 raise ValueError(f"corrupt checkpoint: vertex number {wrong[0]} is not in 1..2^31-1")
-            if len(set(removed_b)) != len(removed_b):
-                raise ValueError("corrupt checkpoint: a B-vertex is committed to two A-vertices")
-            # With no B-number twice, only the least can be 1. Fan numbers, which are
-            # few, are all type-checked: past the arrays' ends no slot read refuses a float.
-            ones += removed_b[:1]
-            if any(v is True for v in ones) or any(type(v) is not int for v in fanned):
-                raise ValueError("corrupt checkpoint: a vertex number is no integer, or is true")
-            d1 = m.d - 1
-            owner, parts = m._owner, m._parts
-            if removed_a:
+            d1, owner, parts = m.d - 1, m._owner, m._parts
+            if removed_a and removed_b:
                 _grow(parts, (removed_a[-1] + 1) * d1)
                 _grow(owner, max(removed_a[-1], removed_b[-1]) + 1)
-            for a, bs in grouped.items():
-                if len(bs) != d1:
-                    raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
-                bs.sort()
-                if check:
-                    m._check_commit(a, bs)
-                for i, b in enumerate(bs, a * d1):
-                    parts[i] = b
+            seen = []  # the a's, in the order their rows begin
+            last = slot = end = prev = 0  # the row's a, its next and past-last slot, its last b
+            try:
+                for a, b in committed:
+                    if slot == end:  # a_last holds its d-1 partners, so a greater a begins
+                        if a <= last:
+                            break
+                        seen.append(a)
+                        last, prev, slot = a, 0, a * d1
+                        end = slot + d1
+                    elif a != last:
+                        break
+                    if b <= prev or owner[b]:
+                        break
+                    parts[slot] = prev = b
                     owner[b] = a
-            # after the writes, so that check=True has refused a non-edge first
+                    slot += 1
+                else:
+                    a = None
+            except ValueError as exc:
+                raise ValueError(f"corrupt checkpoint: a committed pair is not [a, b]: {exc}") from exc
+            if a is not None or slot != end:
+                raise ValueError("corrupt checkpoint: committed pairs leave the writer's order (a, b ascending, "
+                                 f"d-1 per a, each b once) at {'their end' if a is None else [a, b]}")
+            column = sorted(map(itemgetter(1), committed))
+            if seen != removed_a or column != removed_b:
+                raise ValueError("corrupt checkpoint: removed_a or removed_b disagrees with committed pairs")
+            # JSON true equals 1, so it can only be a_1, whose pairs come first, or the least b. Fan
+            # numbers, few, are all type-checked: past the arrays no slot read refuses a float.
+            ones = [pair[0] for pair in committed[:d1]] + column[:1]
+            if any(v is True for v in ones) or any(type(v) is not int for v in fanned):
+                raise ValueError("corrupt checkpoint: a vertex number is no integer, or is true")
+            if check:  # the invariant mode's commit test, run on a matcher that has committed nothing
+                empty = cls(graph, m.d, h)
+                for a in seen:
+                    empty._check_commit(a, parts[a * d1:(a + 1) * d1])
             if not all(map(owner.__getitem__, removed_a)):
                 raise ValueError("corrupt checkpoint: a retired A-vertex's B-copy is uncommitted")
             try:
@@ -477,10 +480,8 @@ class HaremMatcher:
             # each step retires the least live A-vertex, so step s has retired 1..s
             if step and (step > len(removed_a) or removed_a[step - 1] != step):
                 raise ValueError(f"corrupt checkpoint: step {step} has not retired 1..{step}")
-            m.step = step
-            # 1..step are retired, and run_step skips any retired numbers past them
-            m._cursor = step + 1
-        except (KeyError, TypeError) as exc:
+            m.step, m._cursor = step, step + 1  # run_step skips retired numbers past 1..step
+        except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"corrupt checkpoint: {exc!r}") from exc
         return m
 
@@ -490,11 +491,12 @@ def controlled_orbit(f: Callable[[int], int], n: int,
     """n's f-orbit up to its first repeat or its first known point, and the
     index where the walk joined: where the cycle starts, or that known point.
 
-    The package's one f-orbit walk, and the one check of cycle control: the
-    orbit enters its cycle within 2n steps, and the cycle's period is at most
-    max(2, n), so the repeat comes within 3n + 2 calls of f. A violation
-    raises CycleControlError instead of walking on. f is called along the
-    orbit in order, so a lazy f settles exactly what the walk reads.
+    The package's one f-orbit walk. It checks cycle control at n through
+    check_cycle_control: the orbit enters its cycle within 2n steps, and the
+    cycle's period is at most max(2, n), so the repeat comes within 3n + 2
+    calls of f. A violation raises CycleControlError instead of walking on.
+    f is called along the orbit in order, so a lazy f settles exactly what
+    the walk reads.
 
     known maps points whose orbits were walked before, n not among them, to
     (entry, period): the hops from that point to its cycle, and the cycle's
@@ -524,11 +526,22 @@ def controlled_orbit(f: Callable[[int], int], n: int,
             break
     else:
         entry = period = limit  # neither a repeat nor a known point within limit calls
-    if entry + period > limit:
-        raise CycleControlError(f"cycle control broken at {n}: no repeat within {limit} steps")
-    if entry > 2 * n or period > max(2, n):
-        raise CycleControlError(f"cycle control broken at {n}: entry {entry}, period {period}")
+    check_cycle_control(n, entry, period)
     return orbit, first
+
+
+def check_cycle_control(n: int, entry: int, period: int) -> None:
+    """Raise CycleControlError unless n's orbit, entering its cycle after entry
+    hops into a cycle of the given period, keeps cycle control: entry <= 2n and
+    period <= max(2, n). Those bounds put the first repeat within 3n + 2 calls
+    of f; the message is the one a walk from n raises, which says "no repeat"
+    when it would have run out of calls first.
+    """
+    if entry > 2 * n or period > max(2, n):
+        limit = 3 * n + 2
+        if entry + period > limit:
+            raise CycleControlError(f"cycle control broken at {n}: no repeat within {limit} steps")
+        raise CycleControlError(f"cycle control broken at {n}: entry {entry}, period {period}")
 
 
 def verify_cycle_control(f: Callable[[int], int], upto: int) -> dict:

@@ -10,15 +10,20 @@ independent oracles for one another. oracle_double_ball is the textbook
 alternating BFS ball in the bipartite double of an explicit adjacency.
 plain_first_repeat walks an orbit to its first repeat, the reference for
 the cycle-control bounds. FullWalkClassifier classifies a point of the
-forest by walking its whole orbit, with no memo.
+forest by walking its whole orbit, with no memo. grouping_restore is the
+matcher's restore as it was before it read committed pairs in the writer's
+order: it groups the pairs by A-number in any order.
 
 Nothing here imports hallforest (tests/test_hall.py checks that), so the
-references share no code with what they check.
+references share no code with what they check; grouping_restore takes the
+matcher class as an argument.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 SUBSET_CHECK_CAP = 20
@@ -278,3 +283,74 @@ class FullWalkClassifier:
             if ray and self.least_transient_preimage(orbit[i + 1]) != orbit[i]:
                 ray = None
         return (ray, entry, root) if ray else ("plain", 0, root)
+
+
+def grouping_restore(matcher_cls, graph, h, checkpoint: dict, check: bool = False):
+    """matcher_cls.restore as it was when it grouped the committed pairs by
+    A-number, sorted each group and checked for a B-number twice with a set:
+    pairs in any order are accepted. step_limit is left at None.
+    """
+
+    def grow(slots: array, size: int) -> None:
+        if size > len(slots):
+            slots.frombytes(bytes((size - len(slots)) * slots.itemsize))
+
+    try:
+        m = matcher_cls(graph, checkpoint["d"], h, check=check)
+        step = checkpoint["step"]
+        if type(step) is not int or step < 0:
+            raise ValueError(f"corrupt checkpoint: step {step!r} is not a non-negative integer")
+        committed = checkpoint["committed"]
+        grouped: dict[int, list[int]] = {}
+        try:
+            for a, b in committed:
+                grouped.setdefault(a, []).append(b)
+            # true == 1 and hashes alike, so it can pass only for vertex 1
+            ones = [committed[committed.index([1, b])][0] for b in grouped.get(1, ())]
+        except ValueError as exc:
+            raise ValueError(f"corrupt checkpoint: a committed pair is not [a, b]: {exc}") from exc
+        removed_a = sorted(grouped)
+        if removed_a != list(checkpoint["removed_a"]):
+            raise ValueError("corrupt checkpoint: removed_a disagrees with committed pairs")
+        removed_b = sorted(chain.from_iterable(grouped.values()))
+        if removed_b != list(checkpoint["removed_b"]):
+            raise ValueError("corrupt checkpoint: removed_b disagrees with committed pairs")
+        fans = [(fan["root"], tuple(fan["leaves"])) for fan in checkpoint["fans"]]
+        fanned = [v for root, leaves in fans for v in (root,) + leaves]
+        ends = removed_a[:1] + removed_a[-1:] + removed_b[:1] + removed_b[-1:] + fanned
+        wrong = [v for v in ends if not 0 < v < 2 ** 31]
+        if wrong:
+            raise ValueError(f"corrupt checkpoint: vertex number {wrong[0]} is not in 1..2^31-1")
+        if len(set(removed_b)) != len(removed_b):
+            raise ValueError("corrupt checkpoint: a B-vertex is committed to two A-vertices")
+        ones += removed_b[:1]
+        if any(v is True for v in ones) or any(type(v) is not int for v in fanned):
+            raise ValueError("corrupt checkpoint: a vertex number is no integer, or is true")
+        d1 = m.d - 1
+        owner, parts = m._owner, m._parts
+        if removed_a:
+            grow(parts, (removed_a[-1] + 1) * d1)
+            grow(owner, max(removed_a[-1], removed_b[-1]) + 1)
+        for a, bs in grouped.items():
+            if len(bs) != d1:
+                raise ValueError(f"corrupt checkpoint: a_{a} holds {len(bs)} partners")
+            bs.sort()
+            if check:
+                m._check_commit(a, bs)
+            for i, b in enumerate(bs, a * d1):
+                parts[i] = b
+                owner[b] = a
+        if not all(map(owner.__getitem__, removed_a)):
+            raise ValueError("corrupt checkpoint: a retired A-vertex's B-copy is uncommitted")
+        try:
+            for root, leaves in fans:
+                m._reserve_fan(root, leaves)
+        except AssertionError as exc:
+            raise ValueError(f"corrupt checkpoint: {exc}") from exc
+        if step and (step > len(removed_a) or removed_a[step - 1] != step):
+            raise ValueError(f"corrupt checkpoint: step {step} has not retired 1..{step}")
+        m.step = step
+        m._cursor = step + 1
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"corrupt checkpoint: {exc!r}") from exc
+    return m

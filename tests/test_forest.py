@@ -357,6 +357,26 @@ def test_a_walk_through_a_classified_point_checks_the_whole_orbit(tree6, start, 
     assert calls == list(range(start, 8))
 
 
+@pytest.mark.parametrize("cycle, bad, message", [
+    # period 3, which 3 and 4 allow and 2 does not
+    ({2: 3, 3: 4, 4: 2}, 2, "entry 0, period 3"),
+    # 20 -> 3 -> 4 -> ... -> 10 <-> 11 enters within 2 * 20 steps, but from 3 it takes 7 > 6
+    ({20: 3, **{v: v + 1 for v in range(3, 10)}, 10: 11, 11: 10}, 3, "entry 7, period 2"),
+], ids=["periodic", "transient"])
+def test_cycle_control_is_checked_at_every_point_a_walk_classifies(tree6, cycle, bad, message):
+    # the walk from the other point classifies bad too, so whichever point is
+    # asked first, both queries raise what the cold walk from bad raises, and
+    # neither point is remembered
+    other = max(cycle)
+    for order in ((bad, other), (other, bad)):
+        forest = ForestFunction(tree6, 3)
+        forest.f, forest.f_preimages = cycle.__getitem__, lambda x: (x - 1, 3 * x)
+        for u in order:
+            with pytest.raises(CycleControlError, match=f"^cycle control broken at {bad}: {message}$"):
+                forest.classify(u)
+        assert bad not in forest._class and other not in forest._class
+
+
 def test_roots_prefix_pin(forest63):
     assert forest63.roots_up_to(17) == (1, 4, 5, 6, 7, 9, 10, 11, 12, 15, 16, 17)
     for root in forest63.roots_up_to(30):
@@ -442,6 +462,29 @@ def test_forest_preimages_and_neighbors(forest63):
         assert x not in f.forest_neighbors(x)
     for n in range(1, 51):
         assert n in f.f_star_preimages(f.f_star(n))
+
+
+def filtered_candidates(forest: ForestFunction, x: int) -> tuple[int, ...]:
+    """f_star_preimages(x) as it was computed before each f-preimage was decided on
+    its classification: every candidate goes through f_star."""
+    info = forest.classify(x)
+    cands = {u for u in forest.f_preimages(x) if not forest.classify(u).climbs}
+    up = forest.least_transient_preimage
+    if info.kind == "root_ray" and info.height % 2 == 0:
+        cands.add(forest.f(forest.f(x)))
+    elif info.kind in ("root_ray", "image_ray", "image"):
+        cands.add(up(up(x)))
+    return tuple(sorted(u for u in cands if forest.f_star(u) == x))
+
+
+@pytest.mark.parametrize("host, d", [("tree6", 3), ("tree7", 4), ("swapped7", 4)])
+def test_f_star_preimages_against_filtered_candidates(request, host, d):
+    # the same answers, and no step forced that the f_star filter would not force
+    entourage = request.getfixturevalue(host)
+    forest, other = ForestFunction(entourage, d), ForestFunction(entourage, d)
+    for x in range(1, 201):
+        assert forest.f_star_preimages(x) == filtered_candidates(other, x), x
+        assert forest.matcher.step == other.matcher.step, x
 
 
 def test_forest_neighbors_are_mutual(forest63):

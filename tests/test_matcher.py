@@ -26,7 +26,7 @@ from hallforest import (
     verify_cycle_control,
 )
 
-from oracles import plain_first_repeat
+from oracles import grouping_restore, plain_first_repeat
 
 
 def fresh(entourage, d, **kw):
@@ -400,6 +400,38 @@ def test_restore_rejects_corrupt_checkpoints(tree6, tree7, t6k3):
     for bad in wrong_shapes:
         for check in (False, True):
             with pytest.raises(ValueError, match="corrupt checkpoint"):
+                HaremMatcher.restore(host, HallWitness.identity(), bad, check=check)
+
+
+def test_restore_refuses_pairs_out_of_the_writers_order(tree7):
+    # restore reads the pairs in the writer's order, a ascending and each a's d-1
+    # partners ascending, and names the first pair that leaves it; the grouping
+    # reference accepted the pairs in any order
+    host = double_graph(tree7)
+    m = fresh(tree7, 4)
+    m.advance_to_step(20)
+    cp = json.loads(m.checkpoint_json())
+    pairs = cp["committed"]
+    assert pairs[:4] == [[1, 2], [1, 3], [1, 4], [2, 1]] and pairs[-1] == [117, 700]
+    assert [27, 5] in pairs and cp["removed_a"][-1] == 117
+
+    def derived(committed):
+        return dict(cp, committed=committed, removed_a=sorted({a for a, _ in committed}),
+                    removed_b=sorted(b for _, b in committed))
+
+    swapped = dict(cp, committed=[pairs[3]] + pairs[1:3] + [pairs[0]] + pairs[4:])
+    assert grouping_restore(HaremMatcher, host, HallWitness.identity(), swapped).checkpoint() == cp
+    cases = [
+        (swapped, r"at \[1, 3\]"),                                # a_2's pair before a_1's
+        (derived(pairs[:3] + [[1, 5]] + pairs[3:]), r"at \[1, 5\]"),  # a fourth partner of a_1
+        (derived(pairs[:-1]), "at their end"),                   # a_117 with two partners
+        (dict(cp, removed_a=[a for a in cp["removed_a"] if a != 27]), "removed_a or removed_b disagrees"),
+        # the arrays end at the lists' last numbers, so a_117's slots lie past them
+        (dict(cp, removed_a=cp["removed_a"][:-1]), "IndexError"),
+    ]
+    for bad, where in cases:
+        for check in (False, True):
+            with pytest.raises(ValueError, match=f"^corrupt checkpoint: .*{where}"):
                 HaremMatcher.restore(host, HallWitness.identity(), bad, check=check)
 
 

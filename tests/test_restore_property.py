@@ -4,16 +4,21 @@ Every example takes a checkpoint of a real run and applies one or two
 structured mutations. restore must then either refuse the result with
 ValueError("corrupt checkpoint: ...") (under check=True an AssertionError
 from the invariant mode's non-edge test is allowed too), or return a matcher
-whose checkpoint() is the input up to the order of the committed pairs and
-of the fans, and whose state passes audit().
+whose checkpoint() is the input up to the order of the fans, and whose state
+passes audit(). A second test holds restore to the grouping reference in
+tests/oracles.py, which accepts committed pairs in any order.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hallforest import HallWitness, HaremMatcher, double_graph
+
+from oracles import grouping_restore
 
 MUTATIONS = ("drop", "duplicate", "swap", "renumber", "retype", "move_leaf", "add_fan", "free_copy")
 
@@ -100,8 +105,8 @@ def mutate(draw, host, cp: dict, kind: str) -> dict:
 
 
 def canonical(cp: dict) -> dict:
-    return dict(cp, committed=sorted(cp["committed"]),
-                fans=sorted(cp["fans"], key=lambda fan: fan["root"]))
+    """cp with its fans in the writer's order, by root; committed is kept as it is."""
+    return dict(cp, fans=sorted(cp["fans"], key=lambda fan: fan["root"]))
 
 
 def audit(m: HaremMatcher, check: bool) -> None:
@@ -141,3 +146,34 @@ def test_restore_refuses_or_round_trips_a_mutated_checkpoint(bases, data, base, 
         return
     assert canonical(m.checkpoint()) == canonical(cp)
     audit(m, check)
+
+
+def outcome(restore, *args, **kwargs) -> HaremMatcher | None:
+    """restore's matcher, or None when it refuses as restore may."""
+    try:
+        return restore(*args, **kwargs)
+    except ValueError as exc:
+        assert str(exc).startswith("corrupt checkpoint: ")
+    except AssertionError as exc:
+        assert kwargs["check"] and "breaks the matching invariants" in str(exc)
+    return None
+
+
+@given(data=st.data(), base=st.integers(0, 2), check=st.booleans(),
+       kinds=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2))
+def test_restore_agrees_with_the_grouping_reference(bases, data, base, check, kinds):
+    """restore accepts exactly what the grouping reference accepts with its
+    committed pairs as the writer writes them, (a, b) ascending, and both
+    then write the same checkpoint bytes."""
+    host, cp = bases[base]
+    for kind in kinds:
+        cp = mutate(data.draw, host, cp, kind)
+    m = outcome(HaremMatcher.restore, host, HallWitness.identity(), cp, check=check)
+    reference = outcome(grouping_restore, HaremMatcher, host, HallWitness.identity(), cp, check=check)
+    # in the writer's order, and as the writer writes them: the reference accepts 1.0
+    # as a_1 in any pair of a_1 but the first, which restore refuses
+    in_order = reference is not None and json.dumps(cp["committed"]) == json.dumps(
+        reference.checkpoint()["committed"])
+    assert (m is not None) == in_order
+    if m is not None:
+        assert m.checkpoint_json() == reference.checkpoint_json()
