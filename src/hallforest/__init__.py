@@ -9,17 +9,14 @@ bounded-displacement permutations acting freely.
 
 from .graph import SymmetricDoubleGraph, is_A_reflected
 from .hall import HallWitness, InfeasibleMatchingError, solve_relaxed
-from .matcher import (
-    HaremMatcher,
-    MatcherBudgetError,
-    verify_cycle_control,
-)
+from .matcher import HaremMatcher, MatcherBudgetError
 from .forest import (
     Entourage,
     ForestFunction,
     TreeEntourage,
     check_expansion,
     double_graph,
+    verify_cycle_control,
     verify_forest,
 )
 from .wobbling import (

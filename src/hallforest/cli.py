@@ -22,10 +22,10 @@ from .forest import (
     ForestFunction,
     TreeEntourage,
     check_expansion,
+    verify_cycle_control,
     verify_forest,
 )
 from .graph import is_A_reflected
-from .matcher import verify_cycle_control
 from .wobbling import EdgeLabeling, WobblingPair, verify_free_semiregular
 
 

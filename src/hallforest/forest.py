@@ -20,11 +20,11 @@ direction labeling downstream leans on.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Container, Iterable, NamedTuple
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness
-from .matcher import HaremMatcher, check_cycle_control, controlled_orbit
+from .matcher import HaremMatcher
 
 
 class Entourage:
@@ -118,6 +118,56 @@ def check_expansion(entourage: Entourage, subset: Iterable[int], factor: int) ->
     return ExpansionCheck(len(image) >= factor * len(f_set), len(f_set), len(image), factor * len(f_set))
 
 
+class CycleControlError(RuntimeError):
+    """An f-orbit breaks the cycle-control bounds that check_cycle_control checks."""
+
+
+def controlled_orbit(f: Callable[[int], int], n: int, known: Container[int]) -> tuple[list[int], int]:
+    """n's f-orbit up to its first repeat or its first known point, and the
+    index where the walk joined: where the cycle starts, or that known point.
+
+    The package's one f-orbit walk. Cycle control puts the first repeat
+    within 3n + 2 calls of f, so a walk that finds neither a repeat nor a
+    known point within them raises CycleControlError; the caller checks the
+    bounds at n with check_cycle_control. f is called along the orbit in
+    order, so a lazy f settles exactly what the walk reads. known holds
+    points whose orbits were walked before, n not among them, and every
+    point of each such orbit; the known point k the walk stops at ends the
+    orbit as orbit[first]. Otherwise f of the orbit's last point is
+    orbit[first]. The orbit's points are distinct.
+    """
+    if n < 1:
+        raise ValueError("vertices are positive")
+    orbit = [n]
+    index = {n: 0}
+    x = n
+    limit = 3 * n + 2
+    for _ in range(limit):
+        x = f(x)
+        first = index.get(x)
+        if first is not None:
+            return orbit, first
+        index[x] = len(orbit)
+        orbit.append(x)
+        if x in known:
+            return orbit, len(orbit) - 1
+    raise CycleControlError(f"cycle control broken at {n}: no repeat within {limit} steps")
+
+
+def check_cycle_control(n: int, entry: int, period: int) -> None:
+    """Raise CycleControlError unless n's orbit, entering its cycle after entry
+    hops into a cycle of the given period, keeps cycle control: entry <= 2n and
+    period <= max(2, n). Those bounds put the first repeat within 3n + 2 calls
+    of f; the message is the one a walk from n raises, which says "no repeat"
+    when it would have run out of calls first.
+    """
+    if entry > 2 * n or period > max(2, n):
+        limit = 3 * n + 2
+        if entry + period > limit:
+            raise CycleControlError(f"cycle control broken at {n}: no repeat within {limit} steps")
+        raise CycleControlError(f"cycle control broken at {n}: entry {entry}, period {period}")
+
+
 class Classification(NamedTuple):
     """Where a point sits relative to its tree's rewired cycle.
 
@@ -167,7 +217,6 @@ class ForestFunction:
         # every classified point's (tail, period): its hops to its cycle and the
         # cycle's length; the walks stop at these points
         self._reach: dict[int, tuple[int, int]] = {}
-        self._pred: dict[int, int] = {}  # every classified periodic point's cycle predecessor
         self._star: dict[int, int] = {}
 
     # -- the underlying match function --------------------------------------
@@ -182,20 +231,16 @@ class ForestFunction:
         """The least f-preimage of n that is not periodic.
 
         A preimage p of n is periodic exactly when n is and p is n's cycle
-        predecessor. A classified n's predecessor, if it has one, is in the
-        memo; an unclassified n's walk, which stops at the first classified
-        point, returns to n exactly when n is periodic, and then ends on the
-        predecessor.
+        predecessor. classify(n) classifies n's whole cycle when n is
+        periodic, so the predecessor is then the one preimage remembered
+        with tail 0.
         """
         hit = self._ltp.get(n)
         if hit is not None:
             return hit
-        if n in self._class:
-            periodic = self._pred.get(n)
-        else:
-            orbit, first = controlled_orbit(self.f, n, self._reach)
-            periodic = orbit[-1] if first == 0 else None
-        options = [p for p in self.f_preimages(n) if p != periodic]
+        self.classify(n)
+        reach = self._reach
+        options = [p for p in self.f_preimages(n) if p not in reach or reach[p][0]]
         if not options:
             raise RuntimeError(f"{n} has no transient preimage; needs d >= 3")
         result = min(options)
@@ -209,7 +254,7 @@ class ForestFunction:
 
         The walk stops at the first classified point or at a repeat, which
         closes a new cycle, so f is read once per classified point. Every
-        point the walk classifies must keep cycle control, checked on its tail
+        point the walk classifies, u first, must keep cycle control, checked on its tail
         and period before it is remembered, so a broken f raises what a walk
         from that point would, whichever point is asked first. Each new point
         down that walk is then classified from its f-image, nearest the cycle
@@ -221,9 +266,10 @@ class ForestFunction:
         if hit is not None:
             return hit
         reach = self._reach
-        orbit, first = controlled_orbit(self.f, u, reach)  # which checks u
+        orbit, first = controlled_orbit(self.f, u, reach)
         known = reach.get(orbit[first])
         tail, period = known or (0, len(orbit) - first)
+        check_cycle_control(u, first + tail, period)
         # the period bound, period <= max(2, v), of every point before any is remembered:
         # a cycle point remembered before another failed would make the other's walk transient
         if period > 2 and period > min(orbit):
@@ -233,11 +279,10 @@ class ForestFunction:
             cycle = orbit[first:]
             root = min(cycle)
             image = cycle[(cycle.index(root) + 1) % len(cycle)]
-            for pred, v in zip(cycle[-1:] + cycle[:-1], cycle):
+            for v in cycle:
                 kind = "root" if v == root else ("image" if v == image else "cycle")
                 self._class[v] = Classification(kind, 0, root)
                 reach[v] = (0, period)
-                self._pred[v] = pred
         below = self._class[orbit[first]]
         for i in range(first - 1, -1, -1):
             tail += 1
@@ -347,6 +392,27 @@ class ForestFunction:
 
 
 # -- verification ------------------------------------------------------------
+
+
+def verify_cycle_control(f: Callable[[int], int], upto: int) -> dict:
+    """The cycle_control report block: walk every orbit with start 2..upto
+    in full through controlled_orbit, counting the periodic and the transient
+    starts and listing each violation of cycle control."""
+    periodic = transient = 0
+    violations = []
+    for n in range(2, upto + 1):
+        try:
+            orbit, first = controlled_orbit(f, n, ())
+            check_cycle_control(n, first, len(orbit) - first)
+        except CycleControlError as exc:
+            violations.append(str(exc))
+            continue
+        if first == 0:
+            periodic += 1
+        else:
+            transient += 1
+    return {"ok": not violations, "upto": upto, "periodic": periodic,
+            "transient": transient, "violations": violations}
 
 
 def verify_forest(forest: ForestFunction, upto: int) -> dict:

@@ -28,7 +28,7 @@ import json
 from array import array
 from itertools import compress, count
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .graph import SymmetricDoubleGraph
 from .hall import HallWitness, solve_relaxed
@@ -45,10 +45,6 @@ class MatcherBudgetError(RuntimeError):
     def __init__(self, query: str, vertex: int, steps: int):
         super().__init__(f"step budget exhausted after {steps} steps, at {query}({vertex})")
         self.query, self.vertex, self.steps = query, vertex, steps
-
-
-class CycleControlError(RuntimeError):
-    """An f-orbit breaks the cycle-control bounds that check_cycle_control checks."""
 
 
 def _grow(slots: array, size: int) -> None:
@@ -219,10 +215,12 @@ class HaremMatcher:
         """Hold leaves back for root, out of every ball, until it commits.
 
         Checked on every call, as restore passes checkpoint fans here: the root
-        is live and holds no fan; its d-1 distinct leaves are uncommitted,
-        unreserved and in its section.
+        is live and holds no fan; its d-1 leaves, strictly ascending, the order
+        _close_cycle writes and reads them in, are uncommitted, unreserved and
+        in its section.
         """
-        if (self.a_removed(root) or root in self._fans or len(set(leaves)) != self.d - 1
+        if (self.a_removed(root) or root in self._fans or len(leaves) != self.d - 1
+                or leaves != tuple(sorted(set(leaves)))
                 or any(self.b_removed(b) or b in self._leaf_root for b in leaves)
                 or not set(leaves).issubset(self.graph.neighbors_a(root))):
             raise AssertionError(f"reserving {leaves} for a_{root} breaks the fan ledger")
@@ -485,80 +483,3 @@ class HaremMatcher:
             raise ValueError(f"corrupt checkpoint: {exc!r}") from exc
         return m
 
-
-def controlled_orbit(f: Callable[[int], int], n: int,
-                     known: Mapping[int, tuple[int, int]]) -> tuple[list[int], int]:
-    """n's f-orbit up to its first repeat or its first known point, and the
-    index where the walk joined: where the cycle starts, or that known point.
-
-    The package's one f-orbit walk. It checks cycle control at n through
-    check_cycle_control: the orbit enters its cycle within 2n steps, and the
-    cycle's period is at most max(2, n), so the repeat comes within 3n + 2
-    calls of f. A violation raises CycleControlError instead of walking on.
-    f is called along the orbit in order, so a lazy f settles exactly what
-    the walk reads.
-
-    known maps points whose orbits were walked before, n not among them, to
-    (entry, period): the hops from that point to its cycle, and the cycle's
-    length. It holds every point of each such orbit. The walk stops at the
-    first known point k, which ends the orbit as orbit[first]; the new points
-    before it lie off k's orbit, so the bounds are checked on entry = first +
-    k's entry and k's period, and the error is the one a walk on through k's
-    settled orbit would raise. Otherwise the walk ends at its first repeat,
-    and f of its last point is orbit[first]. The orbit's points are distinct.
-    """
-    orbit = [n]
-    index = {n: 0}
-    x = n
-    limit = 3 * n + 2
-    for _ in range(limit):
-        x = f(x)
-        first = index.get(x)
-        if first is not None:
-            entry, period = first, len(orbit) - first
-            break
-        index[x] = len(orbit)
-        orbit.append(x)
-        hit = known.get(x)
-        if hit is not None:
-            first = len(orbit) - 1
-            entry, period = first + hit[0], hit[1]
-            break
-    else:
-        entry = period = limit  # neither a repeat nor a known point within limit calls
-    check_cycle_control(n, entry, period)
-    return orbit, first
-
-
-def check_cycle_control(n: int, entry: int, period: int) -> None:
-    """Raise CycleControlError unless n's orbit, entering its cycle after entry
-    hops into a cycle of the given period, keeps cycle control: entry <= 2n and
-    period <= max(2, n). Those bounds put the first repeat within 3n + 2 calls
-    of f; the message is the one a walk from n raises, which says "no repeat"
-    when it would have run out of calls first.
-    """
-    if entry > 2 * n or period > max(2, n):
-        limit = 3 * n + 2
-        if entry + period > limit:
-            raise CycleControlError(f"cycle control broken at {n}: no repeat within {limit} steps")
-        raise CycleControlError(f"cycle control broken at {n}: entry {entry}, period {period}")
-
-
-def verify_cycle_control(f: Callable[[int], int], upto: int) -> dict:
-    """The cycle_control report block: walk every orbit with start 2..upto
-    in full through controlled_orbit, counting the periodic and the transient
-    starts and listing each violation of cycle control."""
-    periodic = transient = 0
-    violations = []
-    for n in range(2, upto + 1):
-        try:
-            _, k = controlled_orbit(f, n, {})
-        except CycleControlError as exc:
-            violations.append(str(exc))
-            continue
-        if k == 0:
-            periodic += 1
-        else:
-            transient += 1
-    return {"ok": not violations, "upto": upto, "periodic": periodic,
-            "transient": transient, "violations": violations}

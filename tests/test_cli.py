@@ -161,6 +161,30 @@ PINNED_RUNS = {
 }
 
 
+def test_artifacts_are_byte_identical_across_hash_seeds(tmp_path, monkeypatch):
+    # PYTHONHASHSEED fixes str hashing, and so the iteration order of str sets
+    # and dicts built from them; no written byte may depend on it
+    runs = {"verify": (7, ["verify", "--d", 4, "--n", 12, "--word-len", 1]),
+            "match": (6, ["match", "--d", 3, "--n", 80])}
+    written = {}
+    for seed in ("0", "1", "4242"):
+        out = tmp_path / seed
+        script = ("import sys\nfrom hallforest import cli\n"
+                  f"for name, (r, argv) in {runs!r}.items():\n"
+                  f"    space = {str(out)!r} + '/' + name\n"
+                  "    argv = [str(a) for a in argv] + ['--space', space + '/descriptor.json', '--out', space + '/out']\n"
+                  "    if cli.main(['gen-tree', '--r', str(r), '--out', space]) or cli.main(argv):\n"
+                  "        sys.exit(1)\n")
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        child = run_python(script)
+        assert child.returncode == 0, child.stderr
+        written[seed] = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*.json")}
+    assert sorted(name for name in written["0"] if "/out/" in name) == [
+        "match/out/checkpoint.json", "match/out/matching.json", "match/out/report.json",
+        "verify/out/checkpoint.json", "verify/out/report.json"]
+    assert written["0"] == written["1"] == written["4242"]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_artifact_bytes_are_pinned(tmp_path, name):
     r, argv, want = PINNED_RUNS[name]

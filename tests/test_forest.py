@@ -10,13 +10,15 @@ import tracemalloc
 import pytest
 
 from hallforest import (
+    EdgeLabeling,
     ForestFunction,
     TreeEntourage,
+    WobblingPair,
     check_expansion,
     double_graph,
     verify_forest,
 )
-from hallforest.matcher import CycleControlError
+from hallforest.forest import CycleControlError
 
 from conftest import ExplicitEntourage, bfs_tree_adjacency
 from oracles import FullWalkClassifier
@@ -276,6 +278,26 @@ def test_classify_raises_on_an_orbit_that_breaks_cycle_control(tree6):
         with pytest.raises(RuntimeError, match=f"cycle control broken at 5: {message}"):
             forest.classify(5)
         assert calls == list(range(5, stop))
+
+
+BELOW_ONE_QUERIES = {
+    "classify": lambda forest, n: forest.classify(n),
+    "least_transient_preimage": lambda forest, n: forest.least_transient_preimage(n),
+    "forest_neighbors": lambda forest, n: forest.forest_neighbors(n),
+    "path_to_root": lambda forest, n: forest.path_to_root(n),
+    "f_star": lambda forest, n: forest.f_star(n),
+    "steps_to": lambda forest, n: forest.steps_to(n, 3),
+    "alpha": lambda forest, n: WobblingPair(EdgeLabeling(forest)).alpha(n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+@pytest.mark.parametrize("query", sorted(BELOW_ONE_QUERIES))
+def test_forest_queries_refuse_vertices_below_one(tree7, query, n):
+    # the orbit walk's call budget, 3n + 2, is no budget below 1, so the walk
+    # refuses such a start as matcher.f refuses 0
+    with pytest.raises(ValueError, match="^vertices are positive$"):
+        BELOW_ONE_QUERIES[query](ForestFunction(tree7, 4), n)
 
 
 def test_classify_reads_f_once_per_classified_point(tree7):

@@ -449,6 +449,20 @@ def test_restore_refuses_a_step_that_has_not_retired_its_numbers(tree7):
     assert HaremMatcher.restore(host, HallWitness.identity(), cp).f(200) == m.f(200)
 
 
+@pytest.mark.parametrize("leaves", [[38, 41, 44, 44], [44, 41, 38]], ids=["repeated", "descending"])
+def test_restore_refuses_fan_leaves_out_of_the_writers_order(t6k3, leaves):
+    # at step 6 on T6xK3 the one live fan is 8 -> (38, 41, 44). _close_cycle
+    # writes every fan's d - 1 leaves ascending and reads them so: a repeated
+    # leaf would later fail as a bare KeyError, and descending leaves would be
+    # written back in their own order
+    m = HaremMatcher(t6k3, 4, HallWitness.identity())
+    m.advance_to_step(6)
+    cp = dict(m.checkpoint(), fans=[{"root": 8, "leaves": leaves}])
+    for check in (False, True):
+        with pytest.raises(ValueError, match="^corrupt checkpoint: reserving .* breaks the fan ledger$"):
+            HaremMatcher.restore(t6k3, HallWitness.identity(), cp, check=check)
+
+
 def test_check_mode_guards_the_fan_ledger(tree7):
     # the ledger's rules hold with the invariant mode off too, since restore
     # reserves the fans a checkpoint names: a second fan over a live one, or
